@@ -1,13 +1,15 @@
 //! End-to-end scenario benchmark: machine-readable perf trajectory.
 //!
-//! Runs the 2021 scenario, times the engine phase and the
-//! classification+dataset-build phase separately, and writes
-//! `BENCH_scenario.json` into the current directory so successive PRs can
-//! record before/after numbers. The same world is then re-run through the
-//! sharded path (`shards` / `sharded_scenario_wall_secs` /
-//! `shard_busy_secs`), gated on event-count invariants against the
-//! single-engine run — the bench fails before reporting timings if the
-//! two worlds disagree. Fleet wall time is measured at requested
+//! Runs the 2021 scenario at one shard (`scenario_wall_secs`), times the
+//! classification+dataset-build phase alone on its dataset
+//! (`dataset_build_secs`), and writes `BENCH_scenario.json` into the
+//! current directory so successive PRs can record before/after numbers.
+//! The same world is then re-run at several shards (`shards` /
+//! `sharded_scenario_wall_secs` / `shard_busy_secs`, with that run's
+//! `stream_windows` / `peak_window_rows` / a modeled
+//! `peak_resident_estimate`), gated on event-count invariants against the
+//! one-shard run — the bench fails before reporting timings if the two
+//! worlds disagree. Fleet wall time is measured at requested
 //! thread counts 1 and 8 (`run_replicates_timed`, so the thread axis
 //! exercises the merge path too), with per-worker wall clocks and the
 //! machine's hardware parallelism recorded alongside — each fleet entry
@@ -23,25 +25,22 @@
 //! fusion is a measured number, not a claim. The `bench_query` phase times
 //! the query layer's fused scan (the Tables 8+9 [`cw_core::PlanSet`])
 //! against hand-rolled independent sweeps producing identical sets,
-//! recording both as `query_rows_per_sec` / `handrolled_rows_per_sec`. The
-//! streaming
-//! dataset build is timed on the same world (`streaming_build_secs`, with
-//! `stream_windows` / `peak_window_rows` / a modeled
-//! `peak_resident_estimate`), and a final `sweep` phase runs the `cw
-//! sweep` driver cold and warm over a tiny 2-cell grid against a private
-//! cache, asserting the simulate-once contract (cold simulations ==
-//! distinct cells, warm == 0, byte-identical reports) before recording the
-//! walls.
+//! recording both as `query_rows_per_sec` / `handrolled_rows_per_sec`. A
+//! final `sweep` phase runs the `cw sweep` driver cold and warm over a
+//! tiny 2-cell grid against a private cache, asserting the simulate-once
+//! contract (cold simulations == distinct cells, warm == 0, byte-identical
+//! reports) before recording the walls.
 
 use cw_bench::{parse_args, phase1b_shards, run_config};
-use cw_core::dataset::Dataset;
+use cw_core::dataset::DatasetBuilder;
 use cw_core::exhibit::{self, ExhibitCx, ExhibitOptions};
 use cw_core::fleet;
 use cw_core::overlap::{cloud_ips, edu_ips, TABLE9_PORTS};
-use cw_core::scenario::ScenarioConfig;
+use cw_core::scenario::{Scenario, ScenarioConfig};
 use cw_core::{snapshot, Plan, PlanSet, SimBundle};
 use cw_detection::Verdict;
 use cw_honeypot::deployment::Deployment;
+use cw_netsim::intern::Remap;
 use cw_protocols::iana::POPULAR_PORTS;
 use cw_scanners::population::ScenarioYear;
 use std::collections::{BTreeMap, BTreeSet};
@@ -65,29 +64,30 @@ fn main() {
         .map(|p| p.get())
         .unwrap_or(1);
 
-    // Phase 1: one full scenario (engine + first dataset build), pinned to
-    // the single-engine *materialized* path so `scenario_wall_secs` keeps
-    // its historical meaning across machines — and so Phase 2 below can
-    // re-run the dataset build from the still-live captures, which the
-    // streaming build drains.
+    // Phase 1: one full scenario at one shard (engine + merge + dataset
+    // build), so `scenario_wall_secs` measures the same single-worker
+    // run on every machine.
     eprintln!(
-        "[cw] running {} scenario (scale {}, seed {:#x}, materialized) ...",
+        "[cw] running {} scenario (scale {}, seed {:#x}, 1 shard) ...",
         config.year.year(),
         config.scale,
         config.seed
     );
     let t0 = Instant::now();
-    let s = cw_core::scenario::Scenario::run_materialized(config.with_shards(1));
+    let s = Scenario::run(config.with_shards(1));
     let scenario_secs = t0.elapsed().as_secs_f64();
     let events = s.dataset.len() as u64;
 
-    // Phase 1b: the same world through the sharded path. `--shards`/
+    // Phase 1b: the same world at `n_shards` shards. `--shards`/
     // `CW_SHARDS` is honored; auto picks at least 2 on multi-core machines
-    // so the merge machinery is always exercised, but resolves to the
-    // single-engine path on a 1-thread machine, where forced sharding only
-    // measures merge overhead (see `phase1b_shards`). The event-count
-    // invariants gate the run: if the sharded world disagrees with the
-    // single-engine world, fail loudly before any timing is reported.
+    // so the merge machinery is always exercised, but resolves to one
+    // shard on a 1-thread machine, where forced sharding only measures
+    // merge overhead (see `phase1b_shards`). The event-count invariants
+    // gate the run: if the sharded world disagrees with the one-shard
+    // world, fail loudly before any timing is reported. The window stats
+    // are reported next to a modeled peak-resident estimate: the finished
+    // dataset plus at most one window of undrained capture rows per
+    // shard, which is the buffering the streaming build is allowed.
     let n_shards = phase1b_shards(fleet::resolve_shards(opts.shards), hardware_threads);
     let t = Instant::now();
     let sh = run_config(config.with_shards(n_shards));
@@ -104,8 +104,15 @@ fn main() {
         "sharded run changed the telescope packet count"
     );
     let shard_busy = sh.shard_busy_secs.clone();
+    let stream = sh.stream.expect("every run records window stats");
+    // Modeled bytes per event row across the SoA columns (time, src, ASN,
+    // dst, port, observation tag + interned id).
+    const ROW_BYTES: u64 = 34;
+    let peak_resident_estimate =
+        (events + stream.peak_window_rows as u64) * ROW_BYTES;
     eprintln!(
-        "[bench] sharded scenario @ {n_shards} shards: {:.2}s (single-engine {:.2}s) [{}]",
+        "[bench] scenario @ {n_shards} shard(s): {:.2}s (1 shard {:.2}s) [{}]; \
+         {} windows, peak window {} rows, modeled peak resident {} bytes",
         sharded_scenario_secs,
         scenario_secs,
         shard_busy
@@ -113,57 +120,28 @@ fn main() {
             .enumerate()
             .map(|(i, b)| format!("s{i}: {b:.2}s"))
             .collect::<Vec<_>>()
-            .join(", ")
+            .join(", "),
+        stream.windows,
+        stream.peak_window_rows,
+        peak_resident_estimate
     );
     drop(sh);
 
-    // Phase 1c: the same world through the streaming dataset build (the
-    // `Scenario::run` default) — engine windows absorbed into the columnar
-    // dataset incrementally. Gated on the same event-count invariant, and
-    // reported next to a modeled peak-resident estimate: the finished
-    // dataset plus at most one window of undrained capture rows per
-    // engine, which is the buffering the streaming path is allowed.
-    let t = Instant::now();
-    let st = run_config(config.with_shards(n_shards));
-    let streaming_build_secs = t.elapsed().as_secs_f64();
-    assert_eq!(
-        st.dataset.len() as u64,
-        events,
-        "streaming run changed the event count"
-    );
-    let stream = st.stream.expect("streaming path records window stats");
-    // Modeled bytes per event row across the SoA columns (time, src, ASN,
-    // dst, port, observation tag + interned id).
-    const ROW_BYTES: u64 = 34;
-    let peak_resident_estimate =
-        (events + stream.peak_window_rows as u64) * ROW_BYTES;
-    eprintln!(
-        "[bench] streaming scenario @ {n_shards} shard(s): {streaming_build_secs:.2}s \
-         ({} windows, peak window {} rows, modeled peak resident {} bytes)",
-        stream.windows, stream.peak_window_rows, peak_resident_estimate
-    );
-    drop(st);
-
-    // Phase 2: classification + dataset build alone, re-run on the retained
-    // captures (the honeypots stay alive inside the scenario).
-    let caps: Vec<_> = s
-        .deployment
-        .honeypots
-        .iter()
-        .map(|h| h.borrow().capture())
-        .collect();
+    // Phase 2: classification + dataset build alone — a fresh builder
+    // re-interns the Phase 1 dataset's values and re-classifies its rows.
     let mut build_secs = f64::INFINITY;
     for _ in 0..BUILD_REPS {
-        let borrows: Vec<_> = caps.iter().map(|c| c.borrow()).collect();
-        let refs: Vec<&cw_honeypot::capture::Capture> = borrows.iter().map(|b| &**b).collect();
         let t = Instant::now();
-        let ds = Dataset::from_captures(&refs, &s.deployment);
+        let mut builder = DatasetBuilder::new(&s.deployment, 1);
+        let mut remap = Remap::identity();
+        builder.extend_remap(s.dataset.interner(), &mut remap);
+        builder.absorb_table(0, s.dataset.table(), &remap);
+        let ds = builder.finish();
         let dt = t.elapsed().as_secs_f64();
         assert_eq!(ds.len() as u64, events);
         build_secs = build_secs.min(dt);
     }
     let events_per_sec = events as f64 / build_secs;
-    drop(caps);
 
     // Distinct-payload ratio: distinct payload blobs / payload-carrying
     // events (the quantity memoized classification scales with). The
@@ -416,7 +394,6 @@ fn main() {
             "  \"shards\": {},\n",
             "  \"sharded_scenario_wall_secs\": {:.4},\n",
             "  \"shard_busy_secs\": [{}],\n",
-            "  \"streaming_build_secs\": {:.4},\n",
             "  \"stream_windows\": {},\n",
             "  \"peak_window_rows\": {},\n",
             "  \"peak_resident_estimate\": {},\n",
@@ -453,7 +430,6 @@ fn main() {
             .map(|b| format!("{b:.4}"))
             .collect::<Vec<_>>()
             .join(", "),
-        streaming_build_secs,
         stream.windows,
         stream.peak_window_rows,
         peak_resident_estimate,

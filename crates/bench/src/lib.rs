@@ -214,8 +214,8 @@ pub fn threads(opts: RunOptions) -> usize {
 /// always exercised — but a single-core machine gets 1: forcing shards
 /// there benchmarks pure merge overhead on hardware that can never overlap
 /// shard work (the regression recorded as 8.66s sharded vs 2.82s single in
-/// an earlier `BENCH_scenario.json`), and the scenario path itself resolves
-/// auto to the single-engine build on such machines.
+/// an earlier `BENCH_scenario.json`), and the scenario run itself resolves
+/// auto to one shard on such machines.
 pub fn phase1b_shards(resolved: usize, hardware_threads: usize) -> usize {
     match resolved {
         0 if hardware_threads <= 1 => 1,
@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn phase1b_never_forces_shards_on_a_single_core_machine() {
-        // Auto on one hardware thread takes the legacy single-engine path.
+        // Auto on one hardware thread runs one shard.
         assert_eq!(phase1b_shards(0, 1), 1);
         // Auto on multi-core exercises the merge machinery.
         assert_eq!(phase1b_shards(0, 2), 2);

@@ -154,29 +154,25 @@ pub struct Dataset {
 /// fingerprint. Ids are in the dataset's interner space.
 type ClassifyMemo = HashMap<(PayloadId, u16), (Verdict, Option<ProtocolId>)>;
 
-/// Streaming assembler for a [`Dataset`] — the incremental counterpart of
-/// [`Dataset::from_captures`].
+/// Incremental assembler for a [`Dataset`] — what both the scenario run
+/// and [`Dataset::from_captures`] build through.
 ///
-/// The materialized build sees every capture in full at the end of a run;
-/// the streaming scenario path instead drains each capture at every window
-/// boundary ([`Capture::take_rows`]) and feeds the chunks here as they
-/// appear. The builder keeps one accumulation slot per capture so the
-/// finished dataset's row order is exactly the materialized order — all of
-/// capture 0's rows (in recording order), then capture 1's, and so on —
-/// while the dataset interner grows in the shared capture interner's
-/// *insertion* order, which is independent of the drain schedule. The two
-/// builds are therefore byte-identical; `tests/determinism.rs` enforces it
-/// across window sizes and shard counts.
+/// The scenario run drains every shard's captures at each window boundary
+/// ([`Capture::take_rows`]) and feeds the merged rows here as they appear.
+/// The builder keeps one accumulation slot per capture so the finished
+/// dataset's row order is capture 0's rows (in recording order), then
+/// capture 1's, and so on, whatever the window size. `tests/determinism.rs`
+/// enforces byte-identity across window sizes and shard counts.
 ///
-/// Two ingestion paths exist, matching the two scenario paths:
+/// Two ingestion calls exist:
 ///
-/// - [`DatasetBuilder::absorb_table`] bulk-appends a drained chunk whose
-///   ids are translated through a [`Remap`] kept current with
-///   [`DatasetBuilder::extend_remap`] (single-engine streaming);
 /// - [`DatasetBuilder::push_event`] appends one event already in the
-///   builder's id space (the sharded merge interns lazily in global
+///   builder's id space — the scenario merge interns lazily in global
 ///   `(time, agent, seq)` order via [`DatasetBuilder::intern_payload`] /
-///   [`DatasetBuilder::intern_cred`]).
+///   [`DatasetBuilder::intern_cred`];
+/// - [`DatasetBuilder::absorb_table`] bulk-appends a whole table whose ids
+///   are translated through a [`Remap`] kept current with
+///   [`DatasetBuilder::extend_remap`] ([`Dataset::from_captures`]).
 pub struct DatasetBuilder {
     slots: Vec<BuilderSlot>,
     interner: Interner,
@@ -316,10 +312,9 @@ impl DatasetBuilder {
 impl Dataset {
     /// Build from captures and the deployment's vantage metadata.
     ///
-    /// This is the materialized build: every capture is complete before
-    /// assembly starts. It is implemented over [`DatasetBuilder`] (one
-    /// whole capture per chunk), so the streaming scenario path and this
-    /// one cannot drift apart.
+    /// Every capture is complete before assembly starts; each is absorbed
+    /// as one whole chunk through the same [`DatasetBuilder`] the scenario
+    /// run feeds, so classification and slot order cannot drift apart.
     pub fn from_captures(captures: &[&Capture], deployment: &Deployment) -> Self {
         let mut b = DatasetBuilder::new(deployment, captures.len());
         // Captures of one deployment share an interner; cache the remap by

@@ -6,52 +6,55 @@
 //! the telescope handle, the search-engine indexes, and the reputation
 //! oracle.
 //!
+//! Every run takes one path: K shard workers, each running the engine in
+//! time windows, feeding one per-window merge into a [`DatasetBuilder`].
+//! K = 1 is one worker whose engine registers every actor; a one-shot
+//! build is one window covering the whole horizon
+//! (`Scenario::run_with_window(config, config.horizon)`).
+//!
 //! # Sharded simulation
 //!
-//! The discrete-event loop is single-threaded, so one world historically
-//! cost one core-width of wall clock no matter the machine. With
-//! [`ScenarioConfig::shards`] > 1 the actor population is partitioned into
-//! K shards — ownership is the pure function
+//! The discrete-event loop is single-threaded, so one engine costs one
+//! core-width of wall clock no matter the machine. The actor population is
+//! partitioned into K = [`ScenarioConfig::effective_shards`] shards —
+//! ownership is the pure function
 //! [`population::shard_of`]`(seed, actor_id, K)` — and each shard runs its
-//! own [`Engine`] over its own copy of the deterministic world, in
-//! parallel via [`crate::fleet::map`] (worker threads capped at hardware
-//! parallelism). The shard outputs are then merged back into exactly the
-//! record the unsharded engine would have produced:
+//! own [`Engine`] over its own copy of the deterministic world, on its own
+//! worker thread. The shard outputs are merged into exactly the record one
+//! engine running every actor would have produced:
 //!
 //! - every flow carries `(time, agent, seq)` stamps whose lexicographic
-//!   order *is* the unsharded engine's delivery order (the wake queue pops
+//!   order *is* the one-engine delivery order (the wake queue pops
 //!   `(time, agent-id)` ascending and `seq` orders the sends of one wake),
 //!   so a K-way cursor merge over the per-shard capture tables restores
 //!   the global event order;
-//! - interned payload/credential ids are re-interned into a fresh shared
-//!   interner while walking that order, reproducing the unsharded
+//! - interned payload/credential ids are re-interned into the dataset's
+//!   interner while walking that order, reproducing the one-engine
 //!   first-occurrence id assignment byte-for-byte;
 //! - telescope counters and [`RunStats`] fold with their order-independent
 //!   `absorb` merges, in shard order.
 //!
-//! The result is byte-identical to the unsharded run for any shard count
-//! (see `tests/determinism.rs` and docs/ARCHITECTURE.md §"Sharded
-//! simulation"); snapshots are therefore keyed without the shard count.
+//! The result is byte-identical for any shard count (see
+//! `tests/determinism.rs` and docs/ARCHITECTURE.md §"Sharded simulation");
+//! snapshots are therefore keyed without the shard count.
 //!
 //! # Streaming dataset build
 //!
-//! [`Scenario::run`] does not materialize the full event stream before
-//! building the [`Dataset`]. The engine runs in chunked time windows
-//! (default [`DEFAULT_WINDOW`], override with `CW_WINDOW_SECS`); at every
-//! window boundary each listener's capture is drained
-//! ([`Capture::take_rows`]) and absorbed into an incremental
-//! [`DatasetBuilder`], so capture-side buffering never exceeds one window
-//! of events — the memory headroom that makes `scale: 10`/`scale: 100`
-//! worlds practical. The window size is a pure wall-clock/memory knob:
-//! output is byte-identical for every window size and to the one-shot
-//! build ([`Scenario::run_materialized`], kept as the reference path),
-//! which `tests/determinism.rs` enforces. Arena and interner capacity is
+//! The full event stream is never materialized before the [`Dataset`] is
+//! built. Each engine runs in chunked time windows ([`DEFAULT_WINDOW`]
+//! unless [`Scenario::run_with_window`] says otherwise); at every window
+//! boundary each listener's capture is drained ([`Capture::take_rows`])
+//! and merged into the [`DatasetBuilder`], so capture-side buffering never
+//! exceeds one window of events per shard — the memory headroom that makes
+//! `scale: 10`/`scale: 100` worlds practical. The window size is a pure
+//! wall-clock/memory knob: output is byte-identical for every window size,
+//! which `tests/determinism.rs` enforces against an independent
+//! one-engine, one-shot reference. Arena and interner capacity is
 //! pre-sized from [`ScenarioConfig`]'s event/distinct-value estimates.
 //!
-//! One observable difference: streaming *drains* the deployment's capture
-//! tables (they end empty — every row lives in the dataset instead). Code
-//! that inspects raw per-capture tables after a run must use
-//! [`Scenario::run_materialized`].
+//! The returned [`Scenario::deployment`] is the merger's copy of the world:
+//! its captures never record. Code that needs raw capture rows after a run
+//! reads [`Dataset::table`] instead.
 
 use crate::dataset::{Dataset, DatasetBuilder};
 use cw_honeypot::capture::{Capture, EventTable, Observed};
@@ -60,7 +63,7 @@ use cw_honeypot::telescope::Telescope;
 use cw_netsim::asn::AsRegistry;
 use cw_netsim::engine::{Engine, RunStats};
 use cw_netsim::fault::{domain_salt, FaultDomain, FaultPlan};
-use cw_netsim::intern::{CredId, Interner, PayloadId, Remap};
+use cw_netsim::intern::{CredId, PayloadId};
 use cw_netsim::time::{SimDuration, SimTime};
 use cw_scanners::population::{self, PopulationConfig, PopulationHandles, ScenarioYear};
 use cw_scanners::search_engine::SearchIndex;
@@ -162,9 +165,9 @@ impl ScenarioConfig {
 
     /// [`ScenarioConfig::effective_shards`] against an explicit hardware
     /// parallelism, so callers (and tests) can pin the auto-selection rule:
-    /// "auto" on a single-core box resolves to 1 shard — the legacy
-    /// single-engine path — never to a K>1 split that only adds merge
-    /// overhead.
+    /// "auto" on a single-core box resolves to 1 shard — one worker whose
+    /// engine runs every actor — never to a K>1 split that only adds
+    /// parallel engines the core must time-slice.
     pub fn effective_shards_with(&self, hardware_threads: usize) -> usize {
         match self.shards {
             0 => hardware_threads.max(1),
@@ -206,29 +209,15 @@ pub const DEFAULT_SEED: u64 = 0x1_C10D_3A7C;
 /// byte-identical for every window size.
 pub const DEFAULT_WINDOW: SimDuration = SimDuration(21_600);
 
-/// The streaming window [`Scenario::run`] uses: `CW_WINDOW_SECS` when set
-/// to a positive integer, [`DEFAULT_WINDOW`] otherwise. Because window
-/// size is observably a no-op (enforced by `tests/determinism.rs`), the
-/// environment variable cannot change any rendered byte.
-pub fn default_window() -> SimDuration {
-    match std::env::var("CW_WINDOW_SECS") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(secs) if secs > 0 => SimDuration::from_secs(secs),
-            _ => DEFAULT_WINDOW,
-        },
-        Err(_) => DEFAULT_WINDOW,
-    }
-}
-
 /// Diagnostics from a streaming build. Observability only — never part of
-/// any rendered byte, and `None` on the materialized reference path.
+/// any rendered byte.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// How many time windows the run was chunked into.
     pub windows: usize,
     /// The largest number of capture rows buffered in any one window
-    /// (summed across listeners, and across shards on the sharded path) —
-    /// the quantity the streaming build bounds.
+    /// (summed across listeners and shards) — the quantity the streaming
+    /// build bounds.
     pub peak_window_rows: usize,
 }
 
@@ -236,7 +225,8 @@ pub struct StreamStats {
 pub struct Scenario {
     /// The configuration used.
     pub config: ScenarioConfig,
-    /// The Table 1 deployment (vantage metadata + topology).
+    /// The Table 1 deployment (vantage metadata + topology). Its captures
+    /// are empty: every recorded row lives in [`Scenario::dataset`].
     pub deployment: Deployment,
     /// The classified event store.
     pub dataset: Dataset,
@@ -246,149 +236,38 @@ pub struct Scenario {
     pub handles: PopulationHandles,
     /// Engine statistics for the run.
     pub stats: RunStats,
-    /// Wall-clock seconds each shard's engine spent (build + run + fold),
-    /// indexed by shard. Empty on the single-engine path. Diagnostic only —
-    /// never part of any rendered byte.
+    /// Wall-clock seconds each shard worker spent (build + run + fold),
+    /// indexed by shard: one entry per shard, so one entry at K = 1.
+    /// Diagnostic only — never part of any rendered byte.
     pub shard_busy_secs: Vec<f64>,
-    /// Streaming-build diagnostics; `None` when the run materialized the
-    /// full event stream ([`Scenario::run_materialized`]).
+    /// Streaming-build diagnostics. Always `Some` for a simulated run.
     pub stream: Option<StreamStats>,
 }
 
 impl Scenario {
-    /// Build the world and run the collection window with the streaming
-    /// dataset build (see the module docs): the engine advances in chunked
-    /// time windows and each window's capture is absorbed into the dataset
-    /// incrementally, so capture-side buffering stays bounded by one
-    /// window. Byte-identical to [`Scenario::run_materialized`] for every
-    /// window size and shard count. Note the deployment's capture tables
-    /// end *drained*; use `run_materialized` when raw captures are needed
-    /// after the run.
+    /// Build the world and run the collection window in
+    /// [`DEFAULT_WINDOW`]-sized windows (see the module docs).
     pub fn run(config: ScenarioConfig) -> Scenario {
-        Scenario::run_with_window(config, default_window())
+        Scenario::run_with_window(config, DEFAULT_WINDOW)
     }
 
     /// [`Scenario::run`] with an explicit streaming window (a pure
     /// wall-clock/memory knob — the output is byte-identical for every
-    /// value, including a single window covering the whole horizon).
-    pub fn run_with_window(config: ScenarioConfig, window: SimDuration) -> Scenario {
-        let shards = config.effective_shards();
-        if shards <= 1 {
-            Scenario::run_single_streaming(config, window)
-        } else {
-            Scenario::run_sharded_streaming(config, shards, window)
-        }
-    }
-
-    /// The one-shot reference build: run the engine to the horizon, then
-    /// build the dataset from the complete captures. Kept as the
-    /// equivalence oracle for the streaming build, and for callers that
-    /// inspect raw capture tables after the run (the streaming path drains
-    /// them).
+    /// value; `config.horizon` gives the one-shot build).
     ///
-    /// With an effective shard count of 1 this is the legacy single-engine
-    /// path; otherwise the population is split across K parallel engines
-    /// and merged back byte-identically (see the module docs).
-    pub fn run_materialized(config: ScenarioConfig) -> Scenario {
-        let shards = config.effective_shards();
-        if shards <= 1 {
-            Scenario::run_single(config)
-        } else {
-            Scenario::run_sharded(config, shards)
-        }
-    }
-
-    /// Single-engine streaming: one engine, run window by window, captures
-    /// drained and absorbed at every boundary.
-    fn run_single_streaming(config: ScenarioConfig, window: SimDuration) -> Scenario {
-        let deployment = Deployment::standard();
-        deployment.apply_faults(&config.fault, config.seed, config.horizon);
-        let mut engine = Engine::new();
-        engine.set_flow_loss(
-            config.fault.flow_loss,
-            domain_salt(config.seed, FaultDomain::FlowLoss),
-        );
-        deployment.register(&mut engine);
-        let pop = population::build(
-            &PopulationConfig {
-                year: config.year,
-                seed: config.seed,
-                scale: config.scale,
-            },
-            &deployment,
-        );
-        let handles = pop.register(&mut engine);
-
-        let captures: Vec<Rc<RefCell<Capture>>> = deployment
-            .honeypots
-            .iter()
-            .map(|h| h.borrow().capture())
-            .collect();
-        // All listeners of one deployment share one interner; pre-size it
-        // and the dataset-side arenas from the configured scale.
-        let shared_interner = captures.first().map(|c| c.borrow().interner());
-        if let Some(rc) = &shared_interner {
-            rc.borrow_mut().reserve(
-                config.estimated_distinct_payloads(),
-                config.estimated_distinct_creds(),
-            );
-        }
-        let mut builder = DatasetBuilder::new(&deployment, captures.len())
-            .with_interner_capacity(
-                config.estimated_distinct_payloads(),
-                config.estimated_distinct_creds(),
-            );
-        let mut remap = Remap::identity();
-        let mut stats = RunStats::default();
-        let mut stream = StreamStats::default();
-        for end in window_ends(config.horizon, window) {
-            // Engine counters are cumulative, so the last window's return
-            // value is the whole run's stats.
-            stats = engine.run(end);
-            // Bring the remap up to date with whatever the engine interned
-            // this window, *before* translating the window's rows.
-            if let Some(rc) = &shared_interner {
-                builder.extend_remap(&rc.borrow(), &mut remap);
-            }
-            let mut window_rows = 0;
-            for (slot, cap) in captures.iter().enumerate() {
-                let (table, _order) = cap.borrow_mut().take_rows();
-                window_rows += table.len();
-                builder.absorb_table(slot, &table, &remap);
-            }
-            stream.windows += 1;
-            stream.peak_window_rows = stream.peak_window_rows.max(window_rows);
-        }
-        let dataset = builder.finish();
-        let telescope = deployment.telescope.clone();
-        Scenario {
-            config,
-            deployment,
-            dataset,
-            telescope,
-            handles,
-            stats,
-            shard_busy_secs: Vec::new(),
-            stream: Some(stream),
-        }
-    }
-
-    /// Sharded streaming: K worker threads each run their shard window by
-    /// window, shipping drained rows plus interner deltas through a
-    /// bounded channel; the merger K-way merges each window into the
-    /// dataset builder in global `(time, agent, seq)` order — the same
-    /// discipline as [`merge_captures`], applied one window at a time.
+    /// K = [`ScenarioConfig::effective_shards`] worker threads each run
+    /// their shard window by window, shipping drained rows plus interner
+    /// deltas through a bounded channel; this thread merges each window
+    /// into the dataset builder in global `(time, agent, seq)` order
+    /// (`merge_window`).
     ///
     /// Windows partition event time identically on every shard (the
     /// boundaries are a pure function of horizon and window), so merging
-    /// window w completely before window w+1 yields exactly the global
+    /// window w completely before window w+1 yields exactly the whole-run
     /// merge order. The `sync_channel(1)` bound is the memory bound: at
     /// most one undelivered window per shard is ever in flight.
-    fn run_sharded_streaming(
-        config: ScenarioConfig,
-        shards: usize,
-        window: SimDuration,
-    ) -> Scenario {
+    pub fn run_with_window(config: ScenarioConfig, window: SimDuration) -> Scenario {
+        let shards = config.effective_shards();
         let ends: Vec<SimTime> = window_ends(config.horizon, window).collect();
 
         let deployment = Deployment::standard();
@@ -484,105 +363,6 @@ impl Scenario {
             stream: Some(stream),
         }
     }
-
-    /// The unsharded path: one engine runs the whole population.
-    fn run_single(config: ScenarioConfig) -> Scenario {
-        let deployment = Deployment::standard();
-        deployment.apply_faults(&config.fault, config.seed, config.horizon);
-        let mut engine = Engine::new();
-        engine.set_flow_loss(
-            config.fault.flow_loss,
-            domain_salt(config.seed, FaultDomain::FlowLoss),
-        );
-        deployment.register(&mut engine);
-        let pop = population::build(
-            &PopulationConfig {
-                year: config.year,
-                seed: config.seed,
-                scale: config.scale,
-            },
-            &deployment,
-        );
-        let handles = pop.register(&mut engine);
-        let stats = engine.run(SimTime::ZERO + config.horizon);
-        Scenario::finish(config, deployment, handles, stats, Vec::new())
-    }
-
-    /// The sharded path: K engines each run the agents their shard owns,
-    /// then the captures are merged back into global record order.
-    fn run_sharded(config: ScenarioConfig, shards: usize) -> Scenario {
-        // Each worker rebuilds the deterministic world locally (the
-        // ScenarioFactory pattern: nothing non-`Send` crosses threads) and
-        // folds its engine's output to a `Send` ShardRun. One worker
-        // thread per shard, capped at hardware parallelism by `map`.
-        let mut runs = crate::fleet::map((0..shards).collect(), shards, |_, shard| {
-            run_one_shard(config, *shard, shards)
-        });
-
-        // Merge on the calling thread, into a fresh deployment whose
-        // listeners share one interner — exactly the unsharded layout.
-        let deployment = Deployment::standard();
-        let stats = runs.iter().fold(RunStats::default(), |mut acc, r| {
-            acc.absorb(r.stats);
-            acc
-        });
-        {
-            let mut telescope = deployment.telescope.borrow_mut();
-            for r in &runs {
-                telescope.absorb(&r.telescope);
-            }
-        }
-        merge_captures(&deployment, &runs);
-        let coupled = runs
-            .iter_mut()
-            .find_map(|r| r.handles.take())
-            .expect("exactly one shard owns the coupled actor group");
-        let handles = PopulationHandles {
-            censys: Rc::new(RefCell::new(coupled.censys)),
-            shodan: Rc::new(RefCell::new(coupled.shodan)),
-            censys_srcs: coupled.censys_srcs,
-            shodan_srcs: coupled.shodan_srcs,
-            reputation: coupled.reputation,
-            registry: coupled.registry,
-        };
-        let shard_busy = runs.iter().map(|r| r.busy_secs).collect();
-        Scenario::finish(config, deployment, handles, stats, shard_busy)
-    }
-
-    /// Shared tail: build the classified dataset from the deployment's
-    /// captures and assemble the result.
-    fn finish(
-        config: ScenarioConfig,
-        deployment: Deployment,
-        handles: PopulationHandles,
-        stats: RunStats,
-        shard_busy_secs: Vec<f64>,
-    ) -> Scenario {
-        // Collect captures without cloning event storage.
-        let caps: Vec<_> = deployment
-            .honeypots
-            .iter()
-            .map(|h| h.borrow().capture())
-            .collect();
-        let borrows: Vec<std::cell::Ref<'_, cw_honeypot::capture::Capture>> =
-            caps.iter().map(|c| c.borrow()).collect();
-        let refs: Vec<&cw_honeypot::capture::Capture> =
-            borrows.iter().map(|b| &**b).collect();
-        let dataset = Dataset::from_captures(&refs, &deployment);
-        drop(borrows);
-
-        let telescope = deployment.telescope.clone();
-        Scenario {
-            config,
-            deployment,
-            dataset,
-            telescope,
-            handles,
-            stats,
-            shard_busy_secs,
-            stream: None,
-        }
-    }
 }
 
 /// The streaming window boundaries for a horizon: ascending, strictly
@@ -608,196 +388,13 @@ struct ShardHandles {
     registry: AsRegistry,
 }
 
-/// Everything one shard's engine produced, folded to `Send` plain data.
-struct ShardRun {
-    /// Per honeypot listener (deployment registration order): the capture
-    /// table plus its parallel `(agent, seq)` order stamps.
-    tables: Vec<(EventTable, Vec<(u32, u64)>)>,
-    /// The shard-local interner the tables' ids resolve against.
-    interner: Interner,
-    /// The shard's telescope counters.
-    telescope: Telescope,
-    /// The shard engine's counters.
-    stats: RunStats,
-    /// `Some` only on the shard owning the coupled actor group.
-    handles: Option<ShardHandles>,
-    /// Wall-clock seconds this shard spent (build + run + fold).
-    busy_secs: f64,
-}
-
-/// Build the world, register only shard `shard`'s agents (under their
-/// global ids), run the window, and fold the results to `Send` data.
-fn run_one_shard(config: ScenarioConfig, shard: usize, shards: usize) -> ShardRun {
-    let started = std::time::Instant::now();
-    let deployment = Deployment::standard();
-    // Every shard derives the same fault schedules from the same config —
-    // pure functions of (seed, vantage index), never of the shard count.
-    deployment.apply_faults(&config.fault, config.seed, config.horizon);
-    let mut engine = Engine::new();
-    engine.set_flow_loss(
-        config.fault.flow_loss,
-        domain_salt(config.seed, FaultDomain::FlowLoss),
-    );
-    deployment.register(&mut engine);
-    let pop = population::build(
-        &PopulationConfig {
-            year: config.year,
-            seed: config.seed,
-            scale: config.scale,
-        },
-        &deployment,
-    );
-    let anchor = pop.coupled.first().copied().unwrap_or(0);
-    let owns_coupled = population::shard_of(config.seed, anchor as u32, shards) == shard;
-    let handles = pop.register_shard(&mut engine, config.seed, shard, shards);
-    let stats = engine.run(SimTime::ZERO + config.horizon);
-
-    let tables = deployment
-        .honeypots
-        .iter()
-        .map(|h| {
-            let cap = h.borrow().capture();
-            let cap = cap.borrow();
-            (cap.table().clone(), cap.order().to_vec())
-        })
-        .collect();
-    let interner_rc = deployment.honeypots[0].borrow().capture();
-    let interner_rc = interner_rc.borrow().interner();
-    let interner = interner_rc.borrow().clone();
-    let telescope = deployment.telescope.borrow().clone();
-    let handles = owns_coupled.then(|| ShardHandles {
-        censys: handles.censys.borrow().clone(),
-        shodan: handles.shodan.borrow().clone(),
-        censys_srcs: handles.censys_srcs,
-        shodan_srcs: handles.shodan_srcs,
-        reputation: handles.reputation,
-        registry: handles.registry,
-    });
-    ShardRun {
-        tables,
-        interner,
-        telescope,
-        stats,
-        handles,
-        busy_secs: started.elapsed().as_secs_f64(),
-    }
-}
-
-/// Replay every shard's events into `deployment`'s captures in global
-/// `(time, agent, seq)` order, re-interning payload/credential values into
-/// the deployment's shared interner as they are first encountered.
-///
-/// Correctness of the byte-identity claim rests on two facts:
-///
-/// - `(time, agent, seq)` is the unsharded engine's delivery order: the
-///   wake queue pops `(time, agent-id)` ascending, agents are disjoint
-///   across shards (so cross-shard keys never tie), and within one shard
-///   `seq` is monotone in delivery order.
-/// - Every intern the record path performs belongs to exactly one recorded
-///   event, in within-event order (payload; or username then password) —
-///   so lazily re-interning while walking the merged order reproduces the
-///   unsharded interner's first-occurrence id assignment exactly.
-fn merge_captures(deployment: &Deployment, runs: &[ShardRun]) {
-    let captures: Vec<Rc<RefCell<Capture>>> = deployment
-        .honeypots
-        .iter()
-        .map(|h| h.borrow().capture())
-        .collect();
-    if captures.is_empty() {
-        return;
-    }
-    let interner_rc = captures[0].borrow().interner();
-    let mut interner = interner_rc.borrow_mut();
-
-    // Per-shard memo of old id → merged id (dense; ids are arena indexes).
-    struct Memo {
-        payloads: Vec<Option<PayloadId>>,
-        creds: Vec<Option<CredId>>,
-    }
-    let mut memos: Vec<Memo> = runs
-        .iter()
-        .map(|r| Memo {
-            payloads: vec![None; r.interner.payload_count()],
-            creds: vec![None; r.interner.cred_count()],
-        })
-        .collect();
-
-    // K-way merge over (shard, listener) cursors, min-heap keyed by the
-    // global order stamp (shard/listener indexes only break impossible
-    // ties deterministically).
-    type Key = Reverse<(SimTime, u32, u64, usize, usize)>;
-    let key = |s: usize, l: usize, i: usize| -> Key {
-        let (table, order) = &runs[s].tables[l];
-        let (agent, seq) = order[i];
-        Reverse((table.times()[i], agent, seq, s, l))
-    };
-    let mut cursors: Vec<Vec<usize>> = runs
-        .iter()
-        .map(|r| vec![0usize; r.tables.len()])
-        .collect();
-    let mut heap: BinaryHeap<Key> = BinaryHeap::new();
-    for (s, r) in runs.iter().enumerate() {
-        for (l, (table, _)) in r.tables.iter().enumerate() {
-            if !table.is_empty() {
-                heap.push(key(s, l, 0));
-            }
-        }
-    }
-    while let Some(Reverse((_, _, _, s, l))) = heap.pop() {
-        let i = cursors[s][l];
-        cursors[s][l] += 1;
-        let (table, _) = &runs[s].tables[l];
-        let mut event = table.get(i);
-        let memo = &mut memos[s];
-        let shard_interner = &runs[s].interner;
-        event.observed = match event.observed {
-            Observed::Payload(p) => {
-                let slot = &mut memo.payloads[p.index()];
-                let id = *slot.get_or_insert_with(|| {
-                    interner.intern_payload(shard_interner.payload(p))
-                });
-                Observed::Payload(id)
-            }
-            Observed::Credentials {
-                service,
-                username,
-                password,
-            } => {
-                // Within-event intern order is username then password.
-                let username = {
-                    let slot = &mut memo.creds[username.index()];
-                    *slot.get_or_insert_with(|| interner.intern_cred(shard_interner.cred(username)))
-                };
-                let password = {
-                    let slot = &mut memo.creds[password.index()];
-                    *slot.get_or_insert_with(|| interner.intern_cred(shard_interner.cred(password)))
-                };
-                Observed::Credentials {
-                    service,
-                    username,
-                    password,
-                }
-            }
-            other => other,
-        };
-        captures[l].borrow_mut().record_from(
-            event,
-            runs[s].tables[l].1[i].0,
-            runs[s].tables[l].1[i].1,
-        );
-        if i + 1 < table.len() {
-            heap.push(key(s, l, i + 1));
-        }
-    }
-}
-
 /// One window's drained rows for every listener of one shard: per
 /// listener (deployment registration order), the drained [`EventTable`]
 /// plus its parallel `(agent, seq)` order stamps.
 type WindowChunk = Vec<(EventTable, Vec<(u32, u64)>)>;
 
-/// What a streaming shard worker ships to the merger: one `Window` per
-/// window boundary (drained rows plus the interner values minted since the
+/// What a shard worker ships to the merger: one `Window` per window
+/// boundary (drained rows plus the interner values minted since the
 /// previous boundary, in insertion order), then exactly one `Final`.
 enum ShardMsg {
     /// One window's drained captures.
@@ -828,8 +425,7 @@ enum ShardMsg {
 
 /// The merger's view of one shard's id space: a positional shadow of the
 /// shard-local arenas (grown from the per-window deltas) plus the dense
-/// shard-id → merged-id memo — the same memo discipline as
-/// [`merge_captures`], grown incrementally.
+/// shard-id → dataset-id memo.
 #[derive(Default)]
 struct ShardMergeState {
     payload_values: Vec<Vec<u8>>,
@@ -838,9 +434,10 @@ struct ShardMergeState {
     cred_memo: Vec<Option<CredId>>,
 }
 
-/// Worker body for one streaming shard: build the world exactly as
-/// [`run_one_shard`] does, but run window by window, draining captures and
-/// shipping each window through the bounded channel.
+/// The shard worker — the one place a scenario constructs an [`Engine`].
+/// Build the world, register only shard `shard`'s agents (under their
+/// global ids; every agent when `shards == 1`), then run window by window,
+/// draining captures and shipping each window through the bounded channel.
 fn stream_one_shard(
     config: ScenarioConfig,
     shard: usize,
@@ -850,6 +447,8 @@ fn stream_one_shard(
 ) {
     let started = std::time::Instant::now();
     let deployment = Deployment::standard();
+    // Every shard derives the same fault schedules from the same config —
+    // pure functions of (seed, vantage index), never of the shard count.
     deployment.apply_faults(&config.fault, config.seed, config.horizon);
     let mut engine = Engine::new();
     engine.set_flow_loss(
@@ -878,6 +477,8 @@ fn stream_one_shard(
     let (mut seen_payloads, mut seen_creds) = (0usize, 0usize);
     let mut stats = RunStats::default();
     for &end in ends {
+        // Engine counters are cumulative, so the last window's return
+        // value is the whole run's stats.
         stats = engine.run(end);
         let (new_payloads, new_creds) = match &interner_rc {
             Some(rc) => {
@@ -929,11 +530,17 @@ fn stream_one_shard(
 /// memos. Returns the number of rows merged (the window's capture-side
 /// buffering footprint).
 ///
-/// Identical ordering and interning discipline to [`merge_captures`]; the
-/// only difference is the destination (the dataset builder instead of
-/// replayed captures) and the granularity (one window at a time). Because
-/// window boundaries partition event time, per-window merges concatenate
-/// to exactly the whole-run merge order.
+/// Correctness of the byte-identity claim rests on two facts:
+///
+/// - `(time, agent, seq)` is the one-engine delivery order: the wake queue
+///   pops `(time, agent-id)` ascending, agents are disjoint across shards
+///   (so cross-shard keys never tie), and within one shard `seq` is
+///   monotone in delivery order. Window boundaries partition event time,
+///   so per-window merges concatenate to the whole-run merge order.
+/// - Every intern the record path performs belongs to exactly one recorded
+///   event, in within-event order (payload; or username then password) —
+///   so lazily re-interning while walking the merged order reproduces the
+///   one-engine interner's first-occurrence id assignment exactly.
 fn merge_window(
     builder: &mut DatasetBuilder,
     states: &mut [ShardMergeState],
@@ -1064,8 +671,8 @@ mod tests {
         );
     }
 
-    /// Satellite: "auto" shard selection on a single-core box must resolve
-    /// to the legacy single-engine path, never a forced K>1 split.
+    /// "Auto" shard selection on a single-core box must resolve to one
+    /// shard worker, never a forced K>1 split.
     #[test]
     fn auto_shards_resolve_to_one_on_single_core() {
         let cfg = ScenarioConfig::fast(ScenarioYear::Y2021).with_shards(0);
@@ -1088,16 +695,16 @@ mod tests {
         assert!(tiny.estimated_distinct_payloads() <= 1_024);
     }
 
-    /// The streaming default path must agree with the materialized
-    /// reference on everything cheap to compare here; the byte-level
-    /// equivalence matrix lives in tests/determinism.rs.
+    /// A streamed run and a one-window run (the one-shot build) agree on
+    /// everything cheap to compare here; the byte-level equivalence matrix
+    /// lives in tests/determinism.rs.
     #[test]
-    fn streaming_matches_materialized_summary() {
+    fn streaming_matches_one_window_summary() {
         let cfg = ScenarioConfig::fast(ScenarioYear::Y2021)
             .with_seed(11)
             .with_scale(0.02)
             .with_shards(1);
-        let m = Scenario::run_materialized(cfg);
+        let m = Scenario::run_with_window(cfg, cfg.horizon);
         let s = Scenario::run_with_window(cfg, SimDuration::DAY);
         assert_eq!(m.stats, s.stats);
         assert_eq!(m.dataset.len(), s.dataset.len());
@@ -1105,11 +712,13 @@ mod tests {
             m.telescope.borrow().total_packets(),
             s.telescope.borrow().total_packets()
         );
-        let stream = s.stream.expect("streaming run records stream stats");
+        let one = m.stream.expect("every run records stream stats");
+        assert_eq!(one.windows, 1);
+        assert_eq!(one.peak_window_rows, m.dataset.len());
+        let stream = s.stream.expect("every run records stream stats");
         assert_eq!(stream.windows, 7);
         assert!(stream.peak_window_rows < s.dataset.len());
-        assert!(m.stream.is_none());
-        // Streaming drains the captures: every row lives in the dataset.
+        // Every row lives in the dataset; the returned captures are empty.
         assert!(s.deployment.honeypots.iter().all(|h| {
             let cap = h.borrow().capture();
             let empty = cap.borrow().is_empty();

@@ -367,11 +367,6 @@ impl Capture {
         self.order.push((agent, seq));
     }
 
-    /// Per-row `(agent, seq)` order stamps, parallel to [`Capture::table`].
-    pub fn order(&self) -> &[(u32, u64)] {
-        &self.order
-    }
-
     /// Drain everything recorded so far, leaving the capture empty but
     /// still live: the vantage label and the shared interner handle stay,
     /// so the listener keeps recording (and interning) into the same id
@@ -476,8 +471,10 @@ mod tests {
         cap.record(ev(a, 23, Observed::Handshake));
         cap.record_from(ev(a, 80, Observed::Syn), 2, 9);
         assert_eq!(cap.len(), 3);
-        assert_eq!(cap.order(), &[(7, 3), (0, 0), (2, 9)]);
         assert_eq!(cap.event(2).dst_port, 80);
+        let (table, order) = cap.take_rows();
+        assert_eq!(table.len(), 3);
+        assert_eq!(order, vec![(7, 3), (0, 0), (2, 9)]);
     }
 
     #[test]

@@ -254,11 +254,10 @@ impl Interner {
     ///
     /// Interners are append-only, so ids `0..remap.payload_len()` of
     /// `other` still mean what they meant when `remap` was built; only the
-    /// tail `other` has grown since needs interning. This is the streaming
-    /// dataset build's per-window step: one remap table follows the shared
-    /// capture interner across windows, and the total work over a run is
+    /// tail `other` has grown since needs interning. One remap table can
+    /// follow a growing interner across calls, and the total work is
     /// exactly one intern per distinct value — the same as a single
-    /// end-of-run [`Interner::remap_from`].
+    /// [`Interner::remap_from`] at the end.
     pub fn extend_remap_from(&mut self, other: &Interner, remap: &mut Remap) {
         for i in remap.payloads.len()..other.payloads.values.len() {
             let id = self.intern_payload(&other.payloads.values[i]);

@@ -3,15 +3,21 @@
 //! regenerable anywhere.
 
 use cloud_watching::core::bundle::SimBundle;
+use cloud_watching::core::dataset::Dataset;
 use cloud_watching::core::exhibit::{ExhibitCx, ExhibitOptions, REGISTRY};
 use cloud_watching::core::fleet;
 use cloud_watching::core::neighborhood;
-use cloud_watching::core::scenario::{Scenario, ScenarioConfig, DEFAULT_SEED, DEFAULT_WINDOW};
-use cloud_watching::netsim::fault::FaultPlan;
+use cloud_watching::core::scenario::{
+    Scenario, ScenarioConfig, StreamStats, DEFAULT_SEED, DEFAULT_WINDOW,
+};
+use cloud_watching::honeypot::capture::Capture;
+use cloud_watching::honeypot::deployment::Deployment;
+use cloud_watching::netsim::engine::Engine;
+use cloud_watching::netsim::fault::{domain_salt, FaultDomain, FaultPlan};
 use cloud_watching::netsim::rng::{fork_seed, SimRng};
 use cloud_watching::netsim::snap::SnapWriter;
-use cloud_watching::netsim::time::SimDuration;
-use cloud_watching::scanners::population::{self, ScenarioYear};
+use cloud_watching::netsim::time::{SimDuration, SimTime};
+use cloud_watching::scanners::population::{self, PopulationConfig, ScenarioYear};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -23,6 +29,52 @@ fn bundle_bytes(b: &SimBundle) -> Vec<u8> {
     let mut w = SnapWriter::new();
     b.snap_write(&mut w);
     w.into_bytes()
+}
+
+/// The independent reference every run is compared against: one engine
+/// registering every actor, run to the horizon in a single call, with the
+/// dataset built from the complete captures. Assembled here from public
+/// APIs only, so it shares none of the library's shard workers, windows or
+/// merge.
+fn reference_run(config: ScenarioConfig) -> Scenario {
+    let deployment = Deployment::standard();
+    deployment.apply_faults(&config.fault, config.seed, config.horizon);
+    let mut engine = Engine::new();
+    engine.set_flow_loss(
+        config.fault.flow_loss,
+        domain_salt(config.seed, FaultDomain::FlowLoss),
+    );
+    deployment.register(&mut engine);
+    let pop = population::build(
+        &PopulationConfig {
+            year: config.year,
+            seed: config.seed,
+            scale: config.scale,
+        },
+        &deployment,
+    );
+    let handles = pop.register(&mut engine);
+    let stats = engine.run(SimTime::ZERO + config.horizon);
+    let captures: Vec<_> = deployment
+        .honeypots
+        .iter()
+        .map(|h| h.borrow().capture())
+        .collect();
+    let borrows: Vec<_> = captures.iter().map(|c| c.borrow()).collect();
+    let refs: Vec<&Capture> = borrows.iter().map(|b| &**b).collect();
+    let dataset = Dataset::from_captures(&refs, &deployment);
+    drop(borrows);
+    let telescope = deployment.telescope.clone();
+    Scenario {
+        config,
+        deployment,
+        dataset,
+        telescope,
+        handles,
+        stats,
+        shard_busy_secs: Vec::new(),
+        stream: None,
+    }
 }
 
 fn run(seed: u64) -> Scenario {
@@ -78,15 +130,15 @@ fn different_seeds_different_worlds() {
     );
 }
 
-/// The tentpole contract: partitioning one scenario's actors into K
-/// engine shards and merging must reproduce the single-engine run
-/// byte-for-byte — same events (including interned payload/credential
-/// ids), same verdicts, same telescope counters, same index sizes.
+/// Partitioning one scenario's actors into K engine shards and merging
+/// must reproduce the one-engine reference run byte-for-byte — same events
+/// (including interned payload/credential ids), same verdicts, same
+/// telescope counters, same index sizes.
 #[test]
 fn sharded_run_is_byte_identical_to_unsharded() {
     let base = ScenarioConfig::fast(ScenarioYear::Y2021).with_scale(0.03);
-    let a = Scenario::run(base.with_shards(1));
-    for shards in [3, 8] {
+    let a = reference_run(base);
+    for shards in [1, 3, 8] {
         let b = Scenario::run(base.with_shards(shards));
         assert_eq!(a.stats, b.stats, "shards={shards}");
         assert_eq!(a.dataset.len(), b.dataset.len(), "shards={shards}");
@@ -117,23 +169,16 @@ fn sharded_run_is_byte_identical_to_unsharded() {
     }
 }
 
-/// The streaming-build contract (PR 9 tentpole): chunking the engine run
-/// into time windows and absorbing each window's capture incrementally
-/// must reproduce the materialized one-shot build byte-for-byte — for any
-/// window size ({one window, small, default}) and shard count ({1, 3}).
+/// The streaming-build contract: chunking the engine run into time
+/// windows and merging each window's capture incrementally must reproduce
+/// the one-shot reference build byte-for-byte — for any window size
+/// ({one window, small, default}) and shard count ({1, 3}).
 #[test]
 fn streaming_build_byte_identical_across_window_and_shard_matrix() {
     let base = ScenarioConfig::fast(ScenarioYear::Y2021)
         .with_seed(42)
         .with_scale(0.02);
-    let reference = bundle_bytes(&Scenario::run_materialized(base.with_shards(1)).into_bundle());
-    // Cross-check: the sharded materialized path agrees too (PR 7's
-    // contract, restated over the full wire image).
-    assert_eq!(
-        reference,
-        bundle_bytes(&Scenario::run_materialized(base.with_shards(3)).into_bundle()),
-        "sharded materialized run drifted"
-    );
+    let reference = bundle_bytes(&reference_run(base).into_bundle());
     let windows = [
         ("one-window", SimDuration::WEEK),
         ("small", SimDuration::HOUR),
@@ -161,7 +206,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Property form: *any* window size in [1s, one week] is observably a
-    /// no-op, on both the single-engine and the sharded streaming path.
+    /// no-op, at one shard and at several.
     #[test]
     fn streaming_window_size_is_observably_a_noop(
         window_secs in 1u64..=604_800,
@@ -172,7 +217,7 @@ proptest! {
             .with_seed(seed)
             .with_scale(0.01)
             .with_shards(shards);
-        let reference = bundle_bytes(&Scenario::run_materialized(base).into_bundle());
+        let reference = bundle_bytes(&reference_run(base).into_bundle());
         let s = Scenario::run_with_window(base, SimDuration::from_secs(window_secs));
         let streamed = bundle_bytes(&s.into_bundle());
         prop_assert!(
@@ -220,11 +265,10 @@ fn render_all(shards: usize, threads: usize) -> BTreeMap<&'static str, String> {
 }
 
 /// All 25 exhibits render the exact same bytes whether the worlds behind
-/// them were built by the streaming path (any window size) or the
-/// materialized reference path.
+/// them were streamed in day windows or built by the one-shot reference.
 #[test]
 fn exhibits_byte_identical_streaming_vs_materialized() {
-    let materialized = render_all_with(1, 1, |c| Scenario::run_materialized(c).into_bundle());
+    let materialized = render_all_with(1, 1, |c| reference_run(c).into_bundle());
     assert_eq!(materialized.len(), REGISTRY.len());
     let streamed = render_all_with(1, 1, |c| {
         Scenario::run_with_window(c, SimDuration::DAY).into_bundle()
@@ -235,6 +279,24 @@ fn exhibits_byte_identical_streaming_vs_materialized() {
             "exhibit {name} drifted between materialized and streaming builds"
         );
     }
+}
+
+/// K = 1 is one shard worker feeding the same windowed merge as any K: a
+/// one-week run reports one busy figure and the default 28 windows.
+#[test]
+fn one_shard_run_reports_one_worker_and_default_windows() {
+    let s = Scenario::run(
+        ScenarioConfig::fast(ScenarioYear::Y2021)
+            .with_scale(0.01)
+            .with_shards(1),
+    );
+    assert_eq!(s.config.horizon, SimDuration::WEEK);
+    assert_eq!(s.shard_busy_secs.len(), 1);
+    assert!(
+        matches!(s.stream, Some(StreamStats { windows: 28, .. })),
+        "{:?}",
+        s.stream
+    );
 }
 
 /// All 25 exhibits render the exact same bytes whatever the shard count
