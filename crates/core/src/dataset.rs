@@ -140,6 +140,11 @@ impl<'a> ClassifiedEvent<'a> {
 }
 
 /// The flattened, classified event store (columnar, interned).
+///
+/// Row ids are `u32` inside the destination index, so one dataset holds
+/// at most `u32::MAX` rows (about 2,800 full-scale worlds of ~1.5M rows);
+/// building or absorbing past that panics, and a snapshot claiming more
+/// is rejected as malformed.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     table: EventTable,
@@ -147,7 +152,86 @@ pub struct Dataset {
     fingerprints: Vec<Option<ProtocolId>>,
     interner: Interner,
     vantage_by_ip: BTreeMap<Ipv4Addr, VantagePoint>,
-    by_dst: BTreeMap<Ipv4Addr, Vec<usize>>,
+    by_dst: DstIndex,
+}
+
+/// Row ids grouped by destination IP, in compressed-sparse-row form: the
+/// rows destined to `ips[k]` are `rows[offsets[k]..offsets[k + 1]]`, in
+/// row order. `ips` is sorted and lists only destinations with rows.
+#[derive(Debug, Clone, Default)]
+struct DstIndex {
+    ips: Vec<Ipv4Addr>,
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl DstIndex {
+    /// Index the destination column `dsts`: one counting pass gives each
+    /// destination a dense first-seen id and a row count, then the rows
+    /// are placed into their destination's slot in row order.
+    fn build(dsts: &[Ipv4Addr]) -> DstIndex {
+        let n = u32::try_from(dsts.len()).expect("dataset row ids fit in u32");
+        let mut first_seen: HashMap<Ipv4Addr, u32> = HashMap::new();
+        let mut counts: Vec<u32> = Vec::new();
+        let row_ids: Vec<u32> = dsts
+            .iter()
+            .map(|&ip| {
+                let next = counts.len() as u32;
+                let id = *first_seen.entry(ip).or_insert(next);
+                if id == next {
+                    counts.push(0);
+                }
+                counts[id as usize] += 1;
+                id
+            })
+            .collect();
+        let mut keys: Vec<(Ipv4Addr, u32)> = first_seen.into_iter().collect();
+        keys.sort_unstable();
+        let mut cursor = vec![0u32; keys.len()];
+        let mut offsets = Vec::with_capacity(keys.len() + 1);
+        offsets.push(0);
+        let mut end = 0;
+        for &(_, id) in &keys {
+            cursor[id as usize] = end;
+            end += counts[id as usize];
+            offsets.push(end);
+        }
+        let mut rows = vec![0u32; dsts.len()];
+        for (row, &id) in (0..n).zip(&row_ids) {
+            let at = &mut cursor[id as usize];
+            rows[*at as usize] = row;
+            *at += 1;
+        }
+        let ips = keys.into_iter().map(|(ip, _)| ip).collect();
+        DstIndex { ips, offsets, rows }
+    }
+
+    /// The rows destined to `ip`, in row order.
+    fn get(&self, ip: Ipv4Addr) -> Option<&[u32]> {
+        let k = self.ips.binary_search(&ip).ok()?;
+        Some(&self.rows[self.offsets[k] as usize..self.offsets[k + 1] as usize])
+    }
+
+    /// The index of `self`'s rows followed by `other`'s rows shifted up by
+    /// `base`: each key's rows are `self`'s (all below `base`) then
+    /// `other`'s, so they stay in row order. Linear in the rows; the
+    /// per-key lookups are over the few hundred destinations.
+    fn merged(&self, other: &DstIndex, base: u32) -> DstIndex {
+        let total = self.rows.len() + other.rows.len();
+        assert!(u32::try_from(total).is_ok(), "dataset row ids fit in u32");
+        let mut ips = [self.ips.as_slice(), other.ips.as_slice()].concat();
+        ips.sort_unstable();
+        ips.dedup();
+        let mut offsets = Vec::with_capacity(ips.len() + 1);
+        let mut rows = Vec::with_capacity(total);
+        offsets.push(0);
+        for &ip in &ips {
+            rows.extend_from_slice(self.get(ip).unwrap_or_default());
+            rows.extend(other.get(ip).unwrap_or_default().iter().map(|&r| r + base));
+            offsets.push(rows.len() as u32);
+        }
+        DstIndex { ips, offsets, rows }
+    }
 }
 
 /// Per-distinct classification memo: `(payload id, port)` → verdict +
@@ -294,17 +378,14 @@ impl DatasetBuilder {
             fingerprints: Vec::with_capacity(total),
             interner: self.interner,
             vantage_by_ip: self.vantage_by_ip,
-            by_dst: BTreeMap::new(),
+            by_dst: DstIndex::default(),
         };
         for slot in self.slots {
-            let base = ds.table.len();
-            for (i, &dst) in slot.table.dsts().iter().enumerate() {
-                ds.by_dst.entry(dst).or_default().push(base + i);
-            }
             ds.table.extend_remapped(&slot.table, |o| o);
             ds.verdicts.extend(slot.verdicts);
             ds.fingerprints.extend(slot.fingerprints);
         }
+        ds.by_dst = DstIndex::build(ds.table.dsts());
         ds
     }
 }
@@ -345,28 +426,23 @@ impl Dataset {
             fingerprints: Vec::new(),
             interner: Interner::new(),
             vantage_by_ip: BTreeMap::new(),
-            by_dst: BTreeMap::new(),
+            by_dst: DstIndex::default(),
         }
     }
 
     /// Fold another dataset into this one — the fleet merge step.
     ///
-    /// `other`'s events are appended after `self`'s (its per-destination
-    /// indices are rebased) and its interned ids are remapped into `self`'s
-    /// id space by re-interning `other`'s distinct values in *their*
-    /// insertion order. Folding per-run datasets in stream-id order
+    /// `other`'s events are appended after `self`'s (its destination index
+    /// is merged into `self`'s, its row ids rebased by `self.len()`) and
+    /// its interned ids are remapped into `self`'s id space by
+    /// re-interning `other`'s distinct values in *their* insertion order. Folding per-run datasets in stream-id order
     /// therefore yields the same merged dataset — same ids, same bytes —
     /// for any worker-thread count. Vantage metadata is unioned; identical
     /// IPs must describe identical vantages (always true for runs built
     /// from [`Deployment::standard`]).
     pub fn absorb(&mut self, other: Dataset) {
-        let base = self.table.len();
-        for (dst, idxs) in other.by_dst {
-            self.by_dst
-                .entry(dst)
-                .or_default()
-                .extend(idxs.into_iter().map(|i| i + base));
-        }
+        let base = u32::try_from(self.table.len()).expect("dataset row ids fit in u32");
+        self.by_dst = self.by_dst.merged(&other.by_dst, base);
         let remap = self.interner.remap_from(&other.interner);
         self.table
             .extend_remapped(&other.table, |o| remap_observed(o, &remap));
@@ -408,9 +484,11 @@ impl Dataset {
     }
 
     /// Row indices destined to `ip`, in capture order — the pushdown index
-    /// behind [`crate::query::Query::at`].
-    pub(crate) fn dst_index(&self, ip: Ipv4Addr) -> Option<&[usize]> {
-        self.by_dst.get(&ip).map(|v| v.as_slice())
+    /// behind [`crate::query::Query::at`]. `None` when no row has that
+    /// destination. Ids are `u32` (see the row limit on [`Dataset`]);
+    /// callers widen them to `usize` to index the columns.
+    pub(crate) fn dst_index(&self, ip: Ipv4Addr) -> Option<&[u32]> {
+        self.by_dst.get(ip)
     }
 
     /// Start a typed query over this dataset (see [`crate::query`]).
@@ -567,8 +645,8 @@ impl Dataset {
             return Err(SnapError::Malformed("verdict column length mismatch"));
         }
         let mut verdicts = Vec::with_capacity(table.len());
-        for _ in 0..table.len() {
-            verdicts.push(match r.get_u8()? {
+        for [tag] in r.get_column(table.len())? {
+            verdicts.push(match tag {
                 0 => Verdict::Attacker,
                 1 => Verdict::Scanner,
                 _ => return Err(SnapError::Malformed("unknown verdict tag")),
@@ -578,8 +656,8 @@ impl Dataset {
             return Err(SnapError::Malformed("fingerprint column length mismatch"));
         }
         let mut fingerprints = Vec::with_capacity(table.len());
-        for _ in 0..table.len() {
-            fingerprints.push(match r.get_u8()? {
+        for [tag] in r.get_column(table.len())? {
+            fingerprints.push(match tag {
                 0xFF => None,
                 t if (t as usize) < ProtocolId::ALL.len() => Some(ProtocolId::ALL[t as usize]),
                 _ => return Err(SnapError::Malformed("unknown protocol fingerprint tag")),
@@ -590,10 +668,10 @@ impl Dataset {
             .iter()
             .map(|v| (v.ip, v.clone()))
             .collect();
-        let mut by_dst: BTreeMap<Ipv4Addr, Vec<usize>> = BTreeMap::new();
-        for (i, &dst) in table.dsts().iter().enumerate() {
-            by_dst.entry(dst).or_default().push(i);
+        if u32::try_from(table.len()).is_err() {
+            return Err(SnapError::Malformed("more rows than u32 row ids can index"));
         }
+        let by_dst = DstIndex::build(table.dsts());
         Ok(Dataset {
             table,
             verdicts,
@@ -1100,6 +1178,51 @@ mod tests {
         let deployment = Deployment::standard();
         let err = Dataset::snap_read(&mut cw_netsim::snap::SnapReader::new(&bytes), &deployment);
         assert!(matches!(err, Err(SnapError::Malformed(_))));
+    }
+
+    /// The destination index the CSR replaced: a map from each
+    /// destination to its rows, rebuilt from the destination column.
+    fn naive_index(ds: &Dataset) -> BTreeMap<Ipv4Addr, Vec<usize>> {
+        let mut naive: BTreeMap<Ipv4Addr, Vec<usize>> = BTreeMap::new();
+        for (i, &dst) in ds.table().dsts().iter().enumerate() {
+            naive.entry(dst).or_default().push(i);
+        }
+        naive
+    }
+
+    fn assert_index_matches_naive(ds: &Dataset, what: &str) {
+        let naive = naive_index(ds);
+        assert!(!naive.is_empty(), "{what}: no rows");
+        // TEST-NET-1 is never a vantage, so it has no rows.
+        let unused = Ipv4Addr::new(192, 0, 2, 1);
+        assert!(!naive.contains_key(&unused));
+        assert_eq!(ds.dst_index(unused), None, "{what}");
+        let deployment = Deployment::standard();
+        let vantages = deployment.vantages.iter().map(|v| v.ip);
+        for ip in vantages.chain(naive.keys().copied()) {
+            let csr = ds
+                .dst_index(ip)
+                .map(|rows| rows.iter().map(|&r| r as usize).collect::<Vec<_>>());
+            assert_eq!(csr.as_ref(), naive.get(&ip), "{what}: {ip}");
+        }
+    }
+
+    #[test]
+    fn dst_index_matches_a_naive_map_after_build_round_trip_and_absorb() {
+        use crate::scenario::{Scenario, ScenarioConfig};
+        use cw_scanners::population::ScenarioYear;
+        let base = ScenarioConfig::fast(ScenarioYear::Y2021).with_scale(0.01);
+        let built = Scenario::run(base).dataset;
+        assert_index_matches_naive(&built, "DatasetBuilder::finish");
+        let mut w = SnapWriter::new();
+        built.snap_write(&mut w);
+        let bytes = w.into_bytes();
+        let back =
+            Dataset::snap_read(&mut SnapReader::new(&bytes), &Deployment::standard()).unwrap();
+        assert_index_matches_naive(&back, "snapshot round trip");
+        // The fleet fold absorbs each replicate into the running dataset.
+        let folded = crate::fleet::run_replicates(base, 2, 2).dataset;
+        assert_index_matches_naive(&folded, "Dataset::absorb");
     }
 
     #[test]

@@ -322,7 +322,7 @@ impl<'a> Query<'a> {
                 for &ip in ips {
                     let Some(idxs) = ds.dst_index(ip) else { continue };
                     rows += idxs.len() as u64;
-                    for &i in idxs {
+                    for i in idxs.iter().map(|&i| i as usize) {
                         if admits(&self.preds, self.table, self.class, i) {
                             f(i);
                         }
@@ -998,7 +998,7 @@ impl<'a> PlanSet<'a> {
                     for &ip in ips {
                         let Some(idxs) = ds.dst_index(ip) else { continue };
                         rows += idxs.len() as u64;
-                        for &i in idxs {
+                        for i in idxs.iter().map(|&i| i as usize) {
                             visit(&mut accs, i);
                         }
                     }

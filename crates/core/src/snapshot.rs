@@ -18,10 +18,18 @@
 //! # Integrity
 //!
 //! Snapshots use the sealed container of [`cw_netsim::snap`]: magic bytes,
-//! format version, exact payload length, and a SHA-256 trailer. A missing,
-//! truncated, corrupted, version-mismatched, or wrong-config file is
-//! treated identically: the load quietly fails and [`load_or_run`]
-//! re-simulates. The cache can therefore never change results, only
+//! format version, exact payload length, and one SHA-256 per 1 MiB chunk
+//! of payload. [`load_from`] checks the header first, then verifies the
+//! chunks on helper threads *while* the calling thread decodes the
+//! payload; when decoding ends, the calling thread joins the
+//! verification. The decoder therefore reads bytes that may not yet be
+//! verified, so it is bounded on arbitrary input (every count that sizes
+//! an allocation is checked against the bytes that remain). Nothing is
+//! returned before every chunk has matched, decoding has succeeded and
+//! consumed the whole payload, and the decoded config is the requested
+//! one. A missing, truncated, corrupted, version-mismatched, or
+//! wrong-config file is treated identically: the load quietly fails and
+//! [`load_or_run`] re-simulates. The cache can therefore never change results, only
 //! wall-clock time — the same contract the fleet runner makes for thread
 //! count.
 //!
@@ -128,23 +136,25 @@ pub fn store_in(dir: &Path, bundle: &SimBundle) -> std::io::Result<PathBuf> {
 }
 
 /// Load the snapshot for `config` from `dir`, or `None` if it is missing
-/// or fails *any* integrity check (container hash, format version, decode,
-/// trailing bytes, config match). Every failure is silent by design — the
-/// caller's recovery is always the same: re-simulate.
+/// or fails *any* integrity check (container header, any chunk hash,
+/// decode, trailing bytes, config match). Every failure is silent by
+/// design — the caller's recovery is always the same: re-simulate.
+///
+/// Chunk verification runs alongside the decode (see the module docs);
+/// the decoded bundle is dropped unless every chunk matched.
 pub fn load_from(dir: &Path, config: &ScenarioConfig, deployment: &Deployment) -> Option<SimBundle> {
     let bytes = std::fs::read(snapshot_path_in(dir, config)).ok()?;
-    let payload = snap::unseal(&bytes).ok()?;
-    let mut r = SnapReader::new(payload);
-    let bundle = SimBundle::snap_read(&mut r, deployment).ok()?;
-    if !r.is_exhausted() {
-        return None;
-    }
+    let sealed = snap::open(&bytes).ok()?;
+    let (decoded, verified) = sealed.verify_while(|| {
+        let mut r = SnapReader::new(sealed.payload());
+        let bundle = SimBundle::snap_read(&mut r, deployment).ok()?;
+        r.is_exhausted().then_some(bundle)
+    });
+    verified.ok()?;
+    let bundle = decoded?;
     // Hash collisions aside, this catches a mis-filed snapshot (e.g. a
     // copied cache file) — the decoded config must be the requested one.
-    if !bundle.matches(config) {
-        return None;
-    }
-    Some(bundle)
+    bundle.matches(config).then_some(bundle)
 }
 
 /// Where a bundle came from, with the wall time each path cost — the bench
@@ -339,6 +349,163 @@ mod tests {
         let (_, p) = load_or_run_in(&dir, cfg, true);
         assert!(!p.is_hit());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Bytes before the payload in a sealed container: magic (8),
+    /// format version (4), payload length (8).
+    const HEADER: usize = 20;
+
+    /// A stored scale-0.01 world, the sealed file's bytes, and the
+    /// container offsets of the three counts that size decoder
+    /// allocations: the interner's payload and credential counts and the
+    /// event-table row count (found by re-encoding the bundle's parts).
+    struct SealedWorld {
+        dir: PathBuf,
+        cfg: ScenarioConfig,
+        bytes: Vec<u8>,
+        counts: [usize; 3],
+    }
+
+    impl SealedWorld {
+        fn new(name: &str, seed: u64) -> SealedWorld {
+            let dir = test_dir(name);
+            let cfg = test_config(seed);
+            let (bundle, _) = load_or_run_in(&dir, cfg, true);
+            let bytes = std::fs::read(snapshot_path_in(&dir, &cfg)).unwrap();
+            let payload_len = snap::open(&bytes).unwrap().payload().len();
+            let encoded_len = |write: &dyn Fn(&mut SnapWriter)| {
+                let mut w = SnapWriter::new();
+                write(&mut w);
+                w.len()
+            };
+            let ds = &bundle.dataset;
+            let interner = ds.interner();
+            // The dataset is the last part of the bundle payload.
+            let ds_start = HEADER + payload_len - encoded_len(&|w| ds.snap_write(w));
+            let payload_list = 8 + interner
+                .payloads_from(0)
+                .iter()
+                .map(|p| 8 + p.len())
+                .sum::<usize>();
+            let counts = [
+                ds_start,
+                ds_start + payload_list,
+                ds_start + encoded_len(&|w| interner.snap_write(w)),
+            ];
+            SealedWorld {
+                dir,
+                cfg,
+                bytes,
+                counts,
+            }
+        }
+
+        fn payload_len(&self) -> usize {
+            snap::open(&self.bytes).unwrap().payload().len()
+        }
+
+        /// Plant `bytes` at the world's address and load it.
+        fn load(&self, bytes: &[u8]) -> Option<SimBundle> {
+            std::fs::write(snapshot_path_in(&self.dir, &self.cfg), bytes).unwrap();
+            load_from(&self.dir, &self.cfg, &Deployment::standard())
+        }
+
+        /// `bytes` must fail `unseal` with `expected` and load as `None`.
+        fn assert_rejected(&self, bytes: &[u8], expected: snap::SnapError, what: &str) {
+            assert_eq!(snap::unseal(bytes), Err(expected), "{what}");
+            assert!(self.load(bytes).is_none(), "{what}");
+        }
+    }
+
+    impl Drop for SealedWorld {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    #[test]
+    fn damaged_containers_fail_closed_with_typed_errors() {
+        use snap::SnapError;
+        let world = SealedWorld::new("hostile", 48);
+        let sealed = &world.bytes;
+        let len = world.payload_len();
+        let chunks = len.div_ceil(snap::CHUNK);
+        let trailer = HEADER + len;
+        assert!(chunks > 1, "the world must span several chunks");
+        assert!(world.load(sealed).is_some());
+
+        // Header: one bit of every byte. Any change to the length field
+        // changes the size the container must have.
+        for at in 0..HEADER {
+            let mut bad = sealed.clone();
+            bad[at] ^= 1 << (at % 8);
+            let expected = match at {
+                0..=7 => SnapError::BadMagic,
+                8..=11 => SnapError::VersionMismatch {
+                    found: u32::from_le_bytes(bad[8..12].try_into().unwrap()),
+                    expected: snap::FORMAT_VERSION,
+                },
+                _ => SnapError::Truncated,
+            };
+            world.assert_rejected(&bad, expected, &format!("header flip at {at}"));
+        }
+
+        // Payload (first, middle and last chunk) and trailer (first and
+        // last digest), plus seeded random spots past the header.
+        let mut spots = vec![
+            HEADER,
+            HEADER + (chunks / 2) * snap::CHUNK + 7,
+            trailer - 1,
+            trailer,
+            sealed.len() - 1,
+        ];
+        let mut rng = cw_netsim::rng::SplitMix64::new(0x5EA1);
+        spots.extend((0..2).map(|_| HEADER + rng.next_u64() as usize % (sealed.len() - HEADER)));
+        for at in spots {
+            let mut bad = sealed.clone();
+            bad[at] ^= 0x10;
+            world.assert_rejected(&bad, SnapError::HashMismatch, &format!("flip at {at}"));
+        }
+
+        // Truncation at every chunk and digest boundary ±1, and one
+        // trailing byte.
+        let boundaries = (0..=chunks)
+            .map(|k| (HEADER + k * snap::CHUNK).min(trailer))
+            .chain((0..=chunks).map(|k| trailer + k * 32));
+        for cut in boundaries.flat_map(|b| [b - 1, b, b + 1]) {
+            if cut < sealed.len() {
+                let what = format!("truncated to {cut}");
+                world.assert_rejected(&sealed[..cut], SnapError::Truncated, &what);
+            }
+        }
+        let mut longer = sealed.clone();
+        longer.push(0);
+        world.assert_rejected(&longer, SnapError::Truncated, "trailing byte");
+    }
+
+    #[test]
+    fn huge_counts_are_rejected_before_they_size_an_allocation() {
+        let world = SealedWorld::new("counts", 49);
+        let deployment = Deployment::standard();
+        let payload = &world.bytes[HEADER..HEADER + world.payload_len()];
+        for (k, &at) in world.counts.iter().enumerate() {
+            for huge in [54_000_000u64, 1 << 40, u64::MAX] {
+                let mut bad = payload.to_vec();
+                bad[at - HEADER..at - HEADER + 8].copy_from_slice(&huge.to_le_bytes());
+                let decoded = SimBundle::snap_read(&mut SnapReader::new(&bad), &deployment);
+                assert!(
+                    matches!(decoded, Err(snap::SnapError::Truncated)),
+                    "count {k} = {huge}"
+                );
+                // Re-sealed, the digests match and only the decoder's
+                // bounds stand between the count and an allocation.
+                if huge == 54_000_000 {
+                    let resealed = snap::seal(&bad);
+                    assert!(snap::unseal(&resealed).is_ok());
+                    assert!(world.load(&resealed).is_none(), "count {k} = {huge}");
+                }
+            }
+        }
     }
 
     #[test]

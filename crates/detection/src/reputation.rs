@@ -90,7 +90,7 @@ impl ReputationDb {
     /// Decode a label store from a snapshot payload.
     pub fn snap_read(r: &mut SnapReader<'_>) -> Result<ReputationDb, SnapError> {
         let mut labels = BTreeMap::new();
-        for _ in 0..r.get_count()? {
+        for _ in 0..r.get_count_of(4 + 1)? {
             let ip = Ipv4Addr::from(r.get_u32()?);
             let label = match r.get_u8()? {
                 0 => ActorLabel::Benign,

@@ -30,6 +30,10 @@ use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
+/// Wire bytes of the narrowest encoded [`EventTable`] row: time (8), src
+/// (4), src ASN (4), dst (4), dst port (2) and a one-byte observation tag.
+const ROW_MIN_WIRE_BYTES: usize = 8 + 4 + 4 + 4 + 2 + 1;
+
 /// What the instrument observed of the connection.
 ///
 /// Payload bytes and credential strings are interned: resolve the ids
@@ -246,8 +250,11 @@ impl EventTable {
     /// Decode a table from a snapshot payload. Interned ids are copied
     /// verbatim: they resolve against the interner snapshotted alongside
     /// the table, whose insertion-order ids round-trip exactly.
+    ///
+    /// The row count sizes six column allocations, so it is bounded by
+    /// the remaining bytes at `ROW_MIN_WIRE_BYTES` per row.
     pub fn snap_read(r: &mut SnapReader<'_>) -> Result<EventTable, SnapError> {
-        let n = r.get_count()?;
+        let n = r.get_count_of(ROW_MIN_WIRE_BYTES)?;
         let mut t = EventTable {
             times: Vec::with_capacity(n),
             srcs: Vec::with_capacity(n),
@@ -256,21 +263,14 @@ impl EventTable {
             dst_ports: Vec::with_capacity(n),
             observed: Vec::with_capacity(n),
         };
-        for _ in 0..n {
-            t.times.push(SimTime(r.get_u64()?));
-        }
-        for _ in 0..n {
-            t.srcs.push(Ipv4Addr::from(r.get_u32()?));
-        }
-        for _ in 0..n {
-            t.src_asns.push(Asn(r.get_u32()?));
-        }
-        for _ in 0..n {
-            t.dsts.push(Ipv4Addr::from(r.get_u32()?));
-        }
-        for _ in 0..n {
-            t.dst_ports.push(r.get_u16()?);
-        }
+        let u32_of = u32::from_le_bytes;
+        let ip_of = |b| Ipv4Addr::from(u32_of(b));
+        t.times
+            .extend(r.get_column(n)?.map(|b| SimTime(u64::from_le_bytes(b))));
+        t.srcs.extend(r.get_column(n)?.map(ip_of));
+        t.src_asns.extend(r.get_column(n)?.map(|b| Asn(u32_of(b))));
+        t.dsts.extend(r.get_column(n)?.map(ip_of));
+        t.dst_ports.extend(r.get_column(n)?.map(u16::from_le_bytes));
         for _ in 0..n {
             let o = match r.get_u8()? {
                 0 => Observed::Syn,
@@ -571,6 +571,25 @@ mod tests {
         let bytes = w.into_bytes();
         let err = EventTable::snap_read(&mut SnapReader::new(&bytes)).unwrap_err();
         assert!(matches!(err, SnapError::Malformed(_)));
+    }
+
+    #[test]
+    fn table_snapshot_rejects_a_row_count_the_bytes_cannot_hold() {
+        let mut t = EventTable::new();
+        t.push(ev(Ipv4Addr::new(10, 0, 0, 1), 22, Observed::Syn));
+        let mut w = SnapWriter::new();
+        t.snap_write(&mut w);
+        let bytes = w.into_bytes();
+        // One Syn row is exactly the narrowest row, so the row width is
+        // not overstated (a count of 1 fits) and any larger count, up to
+        // one whose column sizes would overflow, is truncation.
+        assert_eq!(bytes.len(), 8 + ROW_MIN_WIRE_BYTES);
+        for n in [2u64, 54_000_000, u64::MAX] {
+            let mut bad = bytes.clone();
+            bad[..8].copy_from_slice(&n.to_le_bytes());
+            let err = EventTable::snap_read(&mut SnapReader::new(&bad)).unwrap_err();
+            assert_eq!(err, SnapError::Truncated, "row count {n}");
+        }
     }
 
     #[test]

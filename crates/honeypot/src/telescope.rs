@@ -264,9 +264,11 @@ impl Telescope {
         let block = AddressBlock::snap_read(r)?;
         let mut per_ip_counts = BTreeMap::new();
         let mut seen_src_dst = BTreeMap::new();
-        for _ in 0..r.get_count()? {
+        // Each count is bounded by the wire width of its entries, so a
+        // corrupt count fails fast instead of sizing an allocation.
+        for _ in 0..r.get_count_of(2 + 8)? {
             let port = r.get_u16()?;
-            let n = r.get_count()?;
+            let n = r.get_count_of(4)?;
             let mut counts = Vec::with_capacity(n);
             for _ in 0..n {
                 counts.push(r.get_u32()?);
@@ -275,24 +277,24 @@ impl Telescope {
             seen_src_dst.insert(port, BTreeSet::new());
         }
         let mut seen_src_port = BTreeSet::new();
-        for _ in 0..r.get_count()? {
+        for _ in 0..r.get_count_of(4 + 2)? {
             let src = r.get_u32()?;
             let port = r.get_u16()?;
             seen_src_port.insert((src, port));
         }
         let mut unique_srcs = BTreeSet::new();
-        for _ in 0..r.get_count()? {
+        for _ in 0..r.get_count_of(4)? {
             unique_srcs.insert(r.get_u32()?);
         }
         let mut unique_asns = BTreeSet::new();
-        for _ in 0..r.get_count()? {
+        for _ in 0..r.get_count_of(4)? {
             unique_asns.insert(r.get_u32()?);
         }
         let mut asn_counts = BTreeMap::new();
-        for _ in 0..r.get_count()? {
+        for _ in 0..r.get_count_of(2 + 8)? {
             let port = r.get_u16()?;
             let mut by_asn = BTreeMap::new();
-            for _ in 0..r.get_count()? {
+            for _ in 0..r.get_count_of(4 + 8)? {
                 let asn = r.get_u32()?;
                 let count = r.get_u64()?;
                 by_asn.insert(asn, count);
@@ -300,7 +302,7 @@ impl Telescope {
             asn_counts.insert(port, by_asn);
         }
         let mut asn_counts_all = BTreeMap::new();
-        for _ in 0..r.get_count()? {
+        for _ in 0..r.get_count_of(4 + 8)? {
             let asn = r.get_u32()?;
             let count = r.get_u64()?;
             asn_counts_all.insert(asn, count);

@@ -204,7 +204,8 @@ impl Interner {
     /// that case is rejected as [`SnapError::Malformed`].
     pub fn snap_read(r: &mut SnapReader<'_>) -> Result<Interner, SnapError> {
         let mut out = Interner::new();
-        let n_payloads = r.get_count()?;
+        // Every value carries a u64 length prefix on the wire.
+        let n_payloads = r.get_count_of(8)?;
         for _ in 0..n_payloads {
             let bytes = r.get_bytes()?;
             out.intern_payload(bytes);
@@ -212,7 +213,7 @@ impl Interner {
         if out.payload_count() != n_payloads {
             return Err(SnapError::Malformed("duplicate payload in interner snapshot"));
         }
-        let n_creds = r.get_count()?;
+        let n_creds = r.get_count_of(8)?;
         for _ in 0..n_creds {
             let s = r.get_str()?;
             out.intern_cred(s);

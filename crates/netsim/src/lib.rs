@@ -31,8 +31,9 @@
 //! - [`sha256`] — a from-scratch FIPS 180-4 SHA-256 shared by the
 //!   snapshot cache and the golden-exhibit manifest in `cw-verify`;
 //! - [`snap`] — the little-endian binary snapshot codec plus the sealed
-//!   container format (magic, format version, payload, SHA-256 trailer)
-//!   that backs the simulate-once artifact cache.
+//!   container format (magic, format version, payload, one SHA-256 per
+//!   1 MiB chunk, verified in parallel) that backs the simulate-once
+//!   artifact cache.
 //!
 //! Everything above this crate — protocols, honeypots, scanners, analysis —
 //! treats these primitives as "the Internet".

@@ -30,54 +30,26 @@ const H0: [u32; 8] = [
 ];
 
 /// SHA-256 digest of `data` as 32 raw bytes.
+///
+/// The full 64-byte blocks are compressed straight from `data`; only the
+/// tail (the last partial block plus padding, at most 128 bytes) is
+/// copied, onto the stack.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    // Pad: 0x80, zeros, 64-bit big-endian bit length, to a 64-byte boundary.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-
     let mut h = H0;
-    let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
-        for (t, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes(block[4 * t..4 * t + 4].try_into().unwrap());
-        }
-        for t in 16..64 {
-            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-            w[t] = w[t - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[t - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for t in 0..64 {
-            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh
-                .wrapping_add(big_s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[t])
-                .wrapping_add(w[t]);
-            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = big_s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (state, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-            *state = state.wrapping_add(v);
-        }
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        compress(&mut h, block);
+    }
+    // Pad: 0x80, zeros, 64-bit big-endian bit length, to a 64-byte boundary.
+    let rest = blocks.remainder();
+    let mut tail = [0u8; 128];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    let tail_len = if rest.len() < 56 { 64 } else { 128 };
+    let bit_len = (data.len() as u64).wrapping_mul(8);
+    tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
+    for block in tail[..tail_len].chunks_exact(64) {
+        compress(&mut h, block);
     }
 
     let mut out = [0u8; 32];
@@ -85,6 +57,46 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
         out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
     }
     out
+}
+
+/// The SHA-256 compression function: fold one 64-byte `block` into `h`.
+fn compress(h: &mut [u32; 8], block: &[u8]) {
+    let mut w = [0u32; 64];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().unwrap());
+    }
+    for t in 16..64 {
+        let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+        let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+        w[t] = w[t - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[t - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for t in 0..64 {
+        let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = hh
+            .wrapping_add(big_s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[t])
+            .wrapping_add(w[t]);
+        let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = big_s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (state, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *state = state.wrapping_add(v);
+    }
 }
 
 /// SHA-256 digest of `data` as a lowercase hex string.
@@ -101,6 +113,61 @@ pub fn sha256_hex(data: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference implementation [`sha256`] replaced: copy the whole
+    /// message, pad the copy, then compress every block of it.
+    fn sha256_copy_and_pad(data: &[u8]) -> [u8; 32] {
+        let bit_len = (data.len() as u64).wrapping_mul(8);
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&bit_len.to_be_bytes());
+        let mut h = H0;
+        for block in msg.chunks_exact(64) {
+            compress(&mut h, block);
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in h.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// Deterministic non-constant bytes, so a misplaced block would show.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i.wrapping_mul(31) ^ (i >> 8)) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn in_place_matches_copy_and_pad_for_short_lengths() {
+        let data = pattern(300);
+        for len in 0..=300 {
+            assert_eq!(
+                sha256(&data[..len]),
+                sha256_copy_and_pad(&data[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn in_place_matches_copy_and_pad_around_chunk_sizes() {
+        const MIB: usize = 1 << 20;
+        let data = pattern(3 * MIB + 1);
+        for mib in 1..=3 {
+            for len in [mib * MIB - 1, mib * MIB, mib * MIB + 1] {
+                assert_eq!(
+                    sha256(&data[..len]),
+                    sha256_copy_and_pad(&data[..len]),
+                    "length {len}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn fips_vector_empty() {

@@ -11,18 +11,32 @@
 //! # Container format
 //!
 //! ```text
-//! offset  size  field
-//! 0       8     magic  b"CWSNAP\x00\x01"
-//! 8       4     format version (u32 LE) — bump on any layout change
-//! 12      8     payload length N (u64 LE)
-//! 20      N     payload (SnapWriter-encoded body)
-//! 20+N    32    SHA-256 of the payload bytes
+//! offset  size    field
+//! 0       8       magic  b"CWSNAP\x00\x01"
+//! 8       4       format version (u32 LE) — bump on any layout change
+//! 12      8       payload length N (u64 LE)
+//! 20      N       payload (SnapWriter-encoded body)
+//! 20+N    32 × C  SHA-256 of each CHUNK-byte slice of the payload, in
+//!                 order; C = ⌈N / CHUNK⌉ (the last chunk may be short)
 //! ```
 //!
-//! [`unseal`] fails closed: a bad magic, unknown version, truncated body,
-//! or digest mismatch all return a [`SnapError`] and the caller silently
-//! falls back to re-simulating. Corruption can therefore cost time but
-//! never correctness.
+//! The container's exact length is a function of N, so a header check
+//! ([`open`]: magic, version, length) rejects truncation and trailing
+//! bytes before any hashing. The chunk digests are then verified
+//! independently, on up to `available_parallelism()` scoped threads that
+//! claim chunks from a shared counter. Those threads are not governed by
+//! `--threads`, like the engine's shard threads. [`unseal`] does both
+//! steps; [`Sealed::verify_while`] overlaps the verification with other
+//! work on the calling thread (the snapshot loader decodes meanwhile).
+//!
+//! Sealed bytes never depend on the number of hashing threads: each
+//! digest is a pure function of its chunk, and the digests are laid out
+//! in chunk order.
+//!
+//! [`unseal`] fails closed: a bad magic, unknown version, wrong length,
+//! or any chunk digest mismatch all return a [`SnapError`] and the caller
+//! silently falls back to re-simulating. Corruption can therefore cost
+//! time but never correctness.
 //!
 //! # Encoding rules
 //!
@@ -31,8 +45,15 @@
 //! pattern. There is no alignment, padding, or backward compatibility:
 //! the format version is part of the cache key, so readers only ever see
 //! bytes their own writer produced.
+//!
+//! A decoder may run before verification has finished, so it must stay
+//! bounded on arbitrary bytes: every count that sizes an allocation is
+//! read with [`SnapReader::get_count_of`], which rejects a count whose
+//! elements could not fit in the bytes that remain.
 
 use crate::sha256::sha256;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Leading bytes of every sealed snapshot container.
 pub const MAGIC: [u8; 8] = *b"CWSNAP\x00\x01";
@@ -42,8 +63,18 @@ pub const MAGIC: [u8; 8] = *b"CWSNAP\x00\x01";
 /// the content-addressed filename) and are re-simulated.
 ///
 /// Version history: 1 = initial sealed-container layout; 2 = scenario
-/// config carries a serialized [`crate::fault::FaultPlan`].
-pub const FORMAT_VERSION: u32 = 2;
+/// config carries a serialized [`crate::fault::FaultPlan`]; 3 = one
+/// SHA-256 per [`CHUNK`] of payload instead of one for the whole payload.
+pub const FORMAT_VERSION: u32 = 3;
+
+/// Payload bytes covered by one trailer digest.
+pub const CHUNK: usize = 1 << 20;
+
+/// Header bytes before the payload: magic, version, payload length.
+const HEADER: usize = MAGIC.len() + 4 + 8;
+
+/// Size of one chunk digest.
+const DIGEST: usize = 32;
 
 /// Why a snapshot failed to decode.
 ///
@@ -214,6 +245,17 @@ impl<'a> SnapReader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
+    /// Read a column of `n` fixed-width values, `W` bytes each, taken in
+    /// one bounds check (all or nothing). Yields each value's raw bytes;
+    /// the caller decodes them, e.g. `u32::from_le_bytes`.
+    pub fn get_column<const W: usize>(
+        &mut self,
+        n: usize,
+    ) -> Result<impl ExactSizeIterator<Item = [u8; W]> + 'a, SnapError> {
+        let bytes = self.take(n.checked_mul(W).ok_or(SnapError::Truncated)?)?;
+        Ok(bytes.chunks_exact(W).map(|c| c.try_into().unwrap()))
+    }
+
     /// Read a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let len = self.get_u64()?;
@@ -226,37 +268,156 @@ impl<'a> SnapReader<'a> {
         std::str::from_utf8(self.get_bytes()?).map_err(|_| SnapError::Malformed("non-UTF-8 string"))
     }
 
-    /// Read a `u64` count and sanity-cap it: a count implying more than
-    /// `remaining()` single bytes is corruption, not a huge snapshot.
+    /// Read a `u64` count of elements at least one byte wide each: a
+    /// count larger than `remaining()` is corruption, not a huge snapshot.
     pub fn get_count(&mut self) -> Result<usize, SnapError> {
-        let n = self.get_u64()?;
-        let n = usize::try_from(n).map_err(|_| SnapError::Truncated)?;
-        if n > self.data.len() {
-            return Err(SnapError::Truncated);
+        self.get_count_of(1)
+    }
+
+    /// Read a `u64` count of elements that each take at least `width`
+    /// bytes on the wire, rejecting it as [`SnapError::Truncated`] when
+    /// `count × width` exceeds `remaining()`. Decoders size allocations
+    /// from such counts, so a corrupt count can never reserve more memory
+    /// than the snapshot itself could fill.
+    pub fn get_count_of(&mut self, width: usize) -> Result<usize, SnapError> {
+        let n = usize::try_from(self.get_u64()?).map_err(|_| SnapError::Truncated)?;
+        match n.checked_mul(width) {
+            Some(bytes) if bytes <= self.remaining() => Ok(n),
+            _ => Err(SnapError::Truncated),
         }
-        Ok(n)
     }
 }
 
+/// The worker count for chunk hashing: one per hardware thread.
+fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Run `job` once for every index in `0..jobs`, claimed from a shared
+/// counter by `workers` threads: the calling thread, which first runs
+/// `work`, and `workers - 1` scoped helpers. Returns `work`'s result and
+/// whether every job returned `true`; the first `false` stops all
+/// claiming, skipping the jobs not yet claimed.
+fn claim_while<R>(
+    jobs: usize,
+    workers: usize,
+    job: impl Fn(usize) -> bool + Sync,
+    work: impl FnOnce() -> R,
+) -> (R, bool) {
+    // Relaxed suffices: neither atomic publishes other data, and the
+    // scope's join orders every job's effects before `failed` is read.
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let claim = || {
+        while !failed.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                break;
+            }
+            if !job(i) {
+                failed.store(true, Ordering::Relaxed);
+            }
+        }
+    };
+    let out = std::thread::scope(|s| {
+        for _ in 1..workers.min(jobs) {
+            s.spawn(claim);
+        }
+        let out = work();
+        claim();
+        out
+    });
+    (out, !failed.into_inner())
+}
+
 /// Wrap an encoded payload in the self-verifying container: magic,
-/// format version, length, payload, SHA-256 trailer.
+/// format version, length, payload, one SHA-256 per [`CHUNK`] of payload.
+/// The chunks are hashed in parallel; the bytes do not depend on how many
+/// threads hashed them.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 12 + payload.len() + 32);
+    seal_on(payload, hardware_threads())
+}
+
+/// [`seal`] with an explicit worker count (the thread-count-independence
+/// tests pin 1 worker against several).
+fn seal_on(payload: &[u8], workers: usize) -> Vec<u8> {
+    let chunks: Vec<&[u8]> = payload.chunks(CHUNK).collect();
+    let digests = Mutex::new(vec![[0u8; DIGEST]; chunks.len()]);
+    let job = |i: usize| {
+        let d = sha256(chunks[i]);
+        digests.lock().expect("no hashing thread panics")[i] = d;
+        true
+    };
+    claim_while(chunks.len(), workers, job, || ());
+    let digests = digests.into_inner().expect("no hashing thread panics");
+    let mut out = Vec::with_capacity(HEADER + payload.len() + DIGEST * digests.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&sha256(payload));
+    for d in &digests {
+        out.extend_from_slice(d);
+    }
     out
 }
 
-/// Verify a sealed container and return its payload slice.
+/// A container whose header checks passed ([`open`]) but whose chunk
+/// digests are not yet verified: the payload must not be trusted until
+/// [`Sealed::verify_while`] returns `Ok`.
+#[derive(Debug, Clone, Copy)]
+pub struct Sealed<'a> {
+    payload: &'a [u8],
+    digests: &'a [u8],
+}
+
+impl<'a> Sealed<'a> {
+    /// The payload bytes, *unverified*.
+    pub fn payload(&self) -> &'a [u8] {
+        self.payload
+    }
+
+    /// Number of chunk digests in the trailer.
+    fn chunks(&self) -> usize {
+        self.digests.len() / DIGEST
+    }
+
+    /// Whether chunk `i` hashes to its stored digest.
+    fn chunk_ok(&self, i: usize) -> bool {
+        let end = ((i + 1) * CHUNK).min(self.payload.len());
+        sha256(&self.payload[i * CHUNK..end])[..] == self.digests[i * DIGEST..(i + 1) * DIGEST]
+    }
+
+    /// Run `work` on the calling thread while scoped helper threads verify
+    /// chunk digests; when `work` returns, the calling thread joins in
+    /// until every chunk is claimed. Returns `work`'s result together with
+    /// the verdict, [`SnapError::HashMismatch`] if any chunk differed.
+    pub fn verify_while<R>(&self, work: impl FnOnce() -> R) -> (R, Result<(), SnapError>) {
+        self.verify_while_on(hardware_threads(), work)
+    }
+
+    fn verify_while_on<R>(
+        &self,
+        workers: usize,
+        work: impl FnOnce() -> R,
+    ) -> (R, Result<(), SnapError>) {
+        let (out, all_match) = claim_while(self.chunks(), workers, |i| self.chunk_ok(i), work);
+        (
+            out,
+            if all_match {
+                Ok(())
+            } else {
+                Err(SnapError::HashMismatch)
+            },
+        )
+    }
+}
+
+/// Check a sealed container's header without hashing anything.
 ///
-/// Checks, in order: magic bytes, format version, declared length vs
-/// actual size (exact — trailing bytes are corruption), and the SHA-256
-/// trailer over the payload. Any failure is a [`SnapError`] the caller
-/// treats as a cache miss.
-pub fn unseal(container: &[u8]) -> Result<&[u8], SnapError> {
+/// Checks, in order: magic bytes, format version, and that the container
+/// is exactly as long as its declared payload length implies (truncation
+/// and trailing bytes are both [`SnapError::Truncated`]).
+pub fn open(container: &[u8]) -> Result<Sealed<'_>, SnapError> {
     let mut r = SnapReader::new(container);
     if r.take(MAGIC.len())? != MAGIC {
         return Err(SnapError::BadMagic);
@@ -269,15 +430,22 @@ pub fn unseal(container: &[u8]) -> Result<&[u8], SnapError> {
         });
     }
     let len = usize::try_from(r.get_u64()?).map_err(|_| SnapError::Truncated)?;
-    if r.remaining() != len + 32 {
+    let trailer = len.div_ceil(CHUNK) * DIGEST;
+    if len.checked_add(trailer) != Some(r.remaining()) {
         return Err(SnapError::Truncated);
     }
     let payload = r.take(len)?;
-    let stored: [u8; 32] = r.take(32)?.try_into().unwrap();
-    if sha256(payload) != stored {
-        return Err(SnapError::HashMismatch);
-    }
-    Ok(payload)
+    let digests = r.take(trailer)?;
+    Ok(Sealed { payload, digests })
+}
+
+/// Verify a sealed container and return its payload slice: the header
+/// checks of [`open`], then every chunk digest, in parallel. Any failure
+/// is a [`SnapError`] the caller treats as a cache miss.
+pub fn unseal(container: &[u8]) -> Result<&[u8], SnapError> {
+    let sealed = open(container)?;
+    let ((), verdict) = sealed.verify_while(|| ());
+    verdict.map(|()| sealed.payload)
 }
 
 #[cfg(test)]
@@ -387,6 +555,139 @@ mod tests {
     #[test]
     fn empty_payload_seals_fine() {
         let sealed = seal(b"");
+        assert_eq!(sealed.len(), HEADER);
         assert_eq!(unseal(&sealed).unwrap(), b"");
+    }
+
+    /// Deterministic non-constant payload bytes.
+    fn payload_of(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i.wrapping_mul(131) >> 3) as u8).collect()
+    }
+
+    #[test]
+    fn trailer_holds_one_digest_per_chunk() {
+        for len in [1, CHUNK - 1, CHUNK, CHUNK + 1] {
+            let payload = payload_of(len);
+            let sealed = seal(&payload);
+            let chunks = len.div_ceil(CHUNK);
+            assert_eq!(sealed.len(), HEADER + len + DIGEST * chunks);
+            for (i, chunk) in payload.chunks(CHUNK).enumerate() {
+                let at = HEADER + len + i * DIGEST;
+                assert_eq!(sealed[at..at + DIGEST], sha256(chunk));
+            }
+            assert_eq!(unseal(&sealed).unwrap(), &payload[..]);
+        }
+    }
+
+    #[test]
+    fn sealed_bytes_do_not_depend_on_the_worker_count() {
+        let payload = payload_of(CHUNK + 5);
+        let one = seal_on(&payload, 1);
+        for workers in [2, 3, 8] {
+            assert_eq!(seal_on(&payload, workers), one, "{workers} workers");
+        }
+        assert_eq!(seal(&payload), one);
+        // Verification agrees with itself on any worker count, too.
+        let sealed = open(&one).unwrap();
+        for workers in [1, 2, 8] {
+            assert_eq!(sealed.verify_while_on(workers, || ()).1, Ok(()));
+        }
+    }
+
+    #[test]
+    fn every_damaged_chunk_or_digest_is_a_hash_mismatch() {
+        let len = CHUNK + 100;
+        let sealed = seal(&payload_of(len));
+        let chunks = len.div_ceil(CHUNK);
+        // One flip inside each payload chunk, and one inside each digest.
+        let mut spots: Vec<usize> = (0..chunks).map(|c| HEADER + c * CHUNK + 17).collect();
+        spots.extend((0..chunks).map(|c| HEADER + len + c * DIGEST + 5));
+        for at in spots {
+            let mut bad = sealed.clone();
+            bad[at] ^= 0x04;
+            for workers in [1, 2] {
+                let opened = open(&bad).unwrap();
+                assert_eq!(
+                    opened.verify_while_on(workers, || ()).1,
+                    Err(SnapError::HashMismatch),
+                    "flip at {at}, {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn length_must_match_the_chunk_count_exactly() {
+        let len = CHUNK + 3;
+        let sealed = seal(&payload_of(len));
+        for cut in [1, DIGEST - 1, DIGEST, DIGEST + 1, DIGEST + 4] {
+            assert_eq!(
+                unseal(&sealed[..sealed.len() - cut]),
+                Err(SnapError::Truncated)
+            );
+        }
+        // A declared length one chunk shorter or longer than the real one
+        // changes the trailer size, so the header check catches it.
+        for declared in [len - CHUNK, len + CHUNK, u64::MAX as usize] {
+            let mut bad = sealed.clone();
+            bad[12..20].copy_from_slice(&(declared as u64).to_le_bytes());
+            assert_eq!(unseal(&bad), Err(SnapError::Truncated));
+        }
+    }
+
+    #[test]
+    fn verify_while_returns_the_work_result_and_the_verdict() {
+        let sealed = seal(&payload_of(CHUNK + 1));
+        let opened = open(&sealed).unwrap();
+        let (sum, verdict) = opened.verify_while(|| opened.payload().len() + 1);
+        assert_eq!((sum, verdict), (CHUNK + 2, Ok(())));
+    }
+
+    #[test]
+    fn count_of_width_rejects_counts_the_remaining_bytes_cannot_hold() {
+        // 3 elements of width 8 need 24 bytes; exactly 24 follow the count.
+        let mut w = SnapWriter::new();
+        w.put_u64(3);
+        for _ in 0..3 {
+            w.put_u64(0);
+        }
+        let bytes = w.into_bytes();
+        assert_eq!(SnapReader::new(&bytes).get_count_of(8), Ok(3));
+        assert_eq!(
+            SnapReader::new(&bytes).get_count_of(9),
+            Err(SnapError::Truncated)
+        );
+        assert_eq!(
+            SnapReader::new(&bytes[..bytes.len() - 1]).get_count_of(8),
+            Err(SnapError::Truncated)
+        );
+        // A huge count overflows `count × width` and is rejected, not wrapped.
+        for huge in [u64::MAX, u64::MAX / 2, 1 << 62] {
+            let mut w = SnapWriter::new();
+            w.put_u64(huge);
+            w.put_bytes(&[0; 64]);
+            let bytes = w.into_bytes();
+            assert_eq!(
+                SnapReader::new(&bytes).get_count_of(4),
+                Err(SnapError::Truncated)
+            );
+            assert_eq!(
+                SnapReader::new(&bytes).get_count(),
+                Err(SnapError::Truncated)
+            );
+        }
+        // The plain count is bounded by what remains, not the whole buffer.
+        let mut w = SnapWriter::new();
+        w.put_u64(9);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            SnapReader::new(&bytes).get_count(),
+            Err(SnapError::Truncated)
+        );
+        // A zero count fits anywhere.
+        assert_eq!(
+            SnapReader::new(&0u64.to_le_bytes()).get_count_of(1 << 20),
+            Ok(0)
+        );
     }
 }

@@ -83,7 +83,7 @@ impl AddressBlock {
     /// Decode a block from a snapshot payload.
     pub fn snap_read(r: &mut SnapReader<'_>) -> Result<AddressBlock, SnapError> {
         let name = r.get_str()?.to_string();
-        let n = r.get_count()?;
+        let n = r.get_count_of(4 + 1)?;
         let mut cidrs = Vec::with_capacity(n);
         for _ in 0..n {
             let base = Ipv4Addr::from(r.get_u32()?);

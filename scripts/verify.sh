@@ -21,6 +21,9 @@
 #   an interrupted sweep (CW_INJECT_PANIC=sweep:<i>) must resume from the
 #   snapshot cache. Setting CW_SCALE_TESTS=1 additionally runs the opt-in
 #   scale-10 smoke tier (tests/scale.rs).
+# Last, every crate's unit tests (`cargo test --workspace --lib`), which the
+#   root-package `cargo test` does not run; they follow the golden step
+#   because cw-verify's registry test reads the regenerated out/.
 # Usage: scripts/verify.sh [scale]   (default scale 0.05 for a quick run)
 set -eu
 
@@ -205,5 +208,12 @@ echo "==> golden exhibits: regenerate all 25 out/*.txt via cw and check the mani
 "$cw" all 2>/dev/null
 cargo test -q --test golden
 echo "    all exhibits hash-match tests/golden/MANIFEST.sha256"
+
+echo "==> crate unit tests: cargo test -q --workspace --lib"
+# `cargo test -q` above runs the root package only. The crates' own unit
+# tests (snapshot container, codecs, engine, stats, ...) run here, after
+# the golden step: cw-verify's registry test reads the regenerated out/.
+cargo test -q --workspace --lib
+echo "    every crate's unit tests pass"
 
 echo "verify: OK"
