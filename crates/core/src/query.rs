@@ -29,6 +29,8 @@
 //! partitions the submitted plans by row-enumeration domain (identical
 //! destination pushdown), evaluates each partition in **one pass** over the
 //! interned columns, and returns typed [`PlanResult`]s in submission order.
+//! The passes run on every core, longest first, each on one thread from
+//! start to finish, so the results do not depend on the worker count.
 //! Tables 8 and 9 (same fleets, different residual filters) cost two fleet
 //! scans instead of four; across the exhibit registry, the driver prefetches
 //! every declared plan per bundle into a [`PlanStore`] so coinciding scans
@@ -74,10 +76,13 @@ use crate::dataset::{ClassifiedEvent, Dataset, TrafficSlice};
 use cw_detection::Verdict;
 use cw_honeypot::capture::{EventTable, Observed, ScanEvent};
 use cw_netsim::intern::PayloadId;
+use cw_netsim::par;
 use cw_protocols::ProtocolId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide column passes actually executed (each [`Query`] terminal
 /// scan and each fused [`PlanSet`] partition counts one).
@@ -846,22 +851,86 @@ impl PlanResult {
     }
 }
 
+/// Multiply-and-fold hashing for `u32` keys (IPv4 addresses, AS numbers).
+///
+/// The multiply spreads every input bit into the high half of the 64-bit
+/// product; the fold XORs that half back onto the low bits. Both ends
+/// matter: hashbrown picks the bucket from the low bits and the control
+/// tag from the top seven, so addresses that differ only in their first
+/// octet must still land apart.
+///
+/// The hash is unkeyed. Its keys are addresses from this program's own
+/// simulated or sealed datasets, and a crafted collision could only slow
+/// a pass, never change its result.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+/// 2⁶⁴ / φ, odd: the Fibonacci-hashing multiplier.
+const FOLD_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl std::hash::Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        let m = (u64::from(n) ^ self.0).wrapping_mul(FOLD_K);
+        self.0 = m ^ (m >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A distinct-value set of source addresses or AS numbers as raw `u32`s —
+/// the flat accumulator behind every distinct-source terminal. Insertion
+/// is a hash probe instead of a B-tree walk; order is restored once, when
+/// the pass finishes.
+#[derive(Default)]
+struct SrcSet(HashSet<u32, BuildHasherDefault<FoldHasher>>);
+
+impl SrcSet {
+    fn insert(&mut self, v: u32) {
+        self.0.insert(v);
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The members as the ordered address set a [`PlanResult`] carries,
+    /// sorted as `u32`s first so the tree is bulk-built from sorted input.
+    fn into_ips(self) -> BTreeSet<Ipv4Addr> {
+        let mut v: Vec<u32> = self.0.into_iter().collect();
+        v.sort_unstable();
+        v.into_iter().map(Ipv4Addr::from).collect()
+    }
+
+    /// [`SrcSet::into_ips`] for every group of a grouped accumulator.
+    fn into_ip_map<K: Ord>(m: BTreeMap<K, SrcSet>) -> BTreeMap<K, BTreeSet<Ipv4Addr>> {
+        m.into_iter().map(|(k, s)| (k, s.into_ips())).collect()
+    }
+}
+
 /// The in-flight accumulator for one plan inside a fused partition pass.
 enum Acc {
     Count(usize),
     Rows(Vec<usize>),
-    DistinctSrcs(BTreeSet<Ipv4Addr>),
-    SrcAsn(BTreeSet<Ipv4Addr>, BTreeSet<u32>),
+    DistinctSrcs(SrcSet),
+    SrcAsn(SrcSet, SrcSet),
     CharFreqs(CharKind, Vec<usize>),
-    PortSrcs(BTreeMap<u16, BTreeSet<Ipv4Addr>>),
-    FingerprintSrcs(BTreeMap<ProtocolId, BTreeSet<Ipv4Addr>>),
+    PortSrcs(BTreeMap<u16, SrcSet>),
+    FingerprintSrcs(BTreeMap<ProtocolId, SrcSet>),
 }
 
 impl Acc {
     fn for_plan(plan: &Plan) -> Acc {
         match (&plan.group, plan.terminal) {
             (GroupKey::Ports(ports), Terminal::DistinctSrcs) => {
-                Acc::PortSrcs(ports.iter().map(|&p| (p, BTreeSet::new())).collect())
+                Acc::PortSrcs(ports.iter().map(|&p| (p, SrcSet::default())).collect())
             }
             (GroupKey::Fingerprint, Terminal::DistinctSrcs) => {
                 Acc::FingerprintSrcs(BTreeMap::new())
@@ -869,8 +938,8 @@ impl Acc {
             (GroupKey::None, t) => match t {
                 Terminal::Count => Acc::Count(0),
                 Terminal::Rows | Terminal::Classified => Acc::Rows(Vec::new()),
-                Terminal::DistinctSrcs => Acc::DistinctSrcs(BTreeSet::new()),
-                Terminal::UniqueSrcAndAsn => Acc::SrcAsn(BTreeSet::new(), BTreeSet::new()),
+                Terminal::DistinctSrcs => Acc::DistinctSrcs(SrcSet::default()),
+                Terminal::UniqueSrcAndAsn => Acc::SrcAsn(SrcSet::default(), SrcSet::default()),
                 Terminal::CharFreqs(kind) => Acc::CharFreqs(kind, Vec::new()),
             },
             _ => unreachable!("plan validated at submission"),
@@ -881,25 +950,24 @@ impl Acc {
         if !admits(&plan.preds, table, Some(ds), i) {
             return;
         }
+        let src = || u32::from(table.srcs()[i]);
         match self {
             Acc::Count(n) => *n += 1,
             Acc::Rows(v) => v.push(i),
-            Acc::DistinctSrcs(s) => {
-                s.insert(table.srcs()[i]);
-            }
+            Acc::DistinctSrcs(s) => s.insert(src()),
             Acc::SrcAsn(srcs, asns) => {
-                srcs.insert(table.srcs()[i]);
+                srcs.insert(src());
                 asns.insert(table.src_asns()[i].0);
             }
             Acc::CharFreqs(_, v) => v.push(i),
             Acc::PortSrcs(map) => {
                 if let Some(set) = map.get_mut(&table.dst_ports()[i]) {
-                    set.insert(table.srcs()[i]);
+                    set.insert(src());
                 }
             }
             Acc::FingerprintSrcs(map) => {
                 if let Some(fp) = ds.fingerprints()[i] {
-                    map.entry(fp).or_default().insert(table.srcs()[i]);
+                    map.entry(fp).or_default().insert(src());
                 }
             }
         }
@@ -909,7 +977,7 @@ impl Acc {
         match self {
             Acc::Count(n) => PlanResult::Count(n),
             Acc::Rows(v) => PlanResult::Rows(v),
-            Acc::DistinctSrcs(s) => PlanResult::DistinctSrcs(s),
+            Acc::DistinctSrcs(s) => PlanResult::DistinctSrcs(s.into_ips()),
             Acc::SrcAsn(srcs, asns) => PlanResult::UniqueSrcAndAsn(srcs.len(), asns.len()),
             Acc::CharFreqs(kind, v) => {
                 // The one resolution point: IDs → strings per distinct ID,
@@ -918,8 +986,8 @@ impl Acc {
                     v.into_iter().map(|i| ds.event(i)).collect();
                 PlanResult::CharFreqs(kind.freqs(&events))
             }
-            Acc::PortSrcs(m) => PlanResult::PortSrcs(m),
-            Acc::FingerprintSrcs(m) => PlanResult::FingerprintSrcs(m),
+            Acc::PortSrcs(m) => PlanResult::PortSrcs(SrcSet::into_ip_map(m)),
+            Acc::FingerprintSrcs(m) => PlanResult::FingerprintSrcs(SrcSet::into_ip_map(m)),
         }
     }
 }
@@ -941,8 +1009,12 @@ impl PlanId {
 /// each partition runs in **one pass** over the interned columns, every
 /// plan's accumulator seeing exactly the rows — in exactly the order — a
 /// standalone [`Query`] would have fed it. Results come back in submission
-/// order regardless of how plans were grouped into passes; partitions
-/// execute in first-submission order.
+/// order regardless of how plans were grouped into passes.
+///
+/// The passes run on every core: one worker per hardware thread claims
+/// whole partitions, largest first, and runs each from start to finish.
+/// No accumulator is ever split or merged, so the results do not depend on
+/// the worker count or on which worker ran which pass.
 pub struct PlanSet<'a> {
     dataset: &'a Dataset,
     plans: Vec<Plan>,
@@ -967,58 +1039,97 @@ impl<'a> PlanSet<'a> {
     }
 
     /// Execute every submitted plan, one fused pass per enumeration
-    /// domain, returning results in submission order.
+    /// domain, returning results in submission order. The passes are
+    /// spread over one worker per hardware thread; a set with one domain
+    /// runs on the calling thread alone. A panic inside a pass propagates
+    /// from here.
     pub fn execute(self) -> Vec<PlanResult> {
+        self.execute_on(par::hardware_threads())
+    }
+
+    /// [`PlanSet::execute`] on an explicit number of workers — a test
+    /// hook for pinning the worker-count independence of the results.
+    #[doc(hidden)]
+    pub fn execute_on(self, workers: usize) -> Vec<PlanResult> {
+        self.run(workers).0
+    }
+
+    /// Execute on `workers` threads; returns the results in submission
+    /// order and the number of fused passes it took.
+    fn run(self, workers: usize) -> (Vec<PlanResult>, usize) {
         let ds = self.dataset;
-        let table = ds.table();
-        let mut results: Vec<Option<PlanResult>> = (0..self.plans.len()).map(|_| None).collect();
         // Partition by identical destination domain, first-submission order.
+        let mut domains: HashMap<&Option<Vec<Ipv4Addr>>, usize> = HashMap::new();
         let mut partitions: Vec<(&Option<Vec<Ipv4Addr>>, Vec<usize>)> = Vec::new();
         for (idx, plan) in self.plans.iter().enumerate() {
-            match partitions.iter_mut().find(|(d, _)| *d == &plan.dsts) {
-                Some((_, members)) => members.push(idx),
-                None => partitions.push((&plan.dsts, vec![idx])),
-            }
+            let k = *domains.entry(&plan.dsts).or_insert_with(|| {
+                partitions.push((&plan.dsts, Vec::new()));
+                partitions.len() - 1
+            });
+            partitions[k].1.push(idx);
         }
         PLANNED_SCANS.fetch_add(self.plans.len() as u64, Ordering::Relaxed);
-        for (dsts, members) in partitions {
-            FUSED_PASSES.fetch_add(1, Ordering::Relaxed);
-            let mut accs: Vec<Acc> = members
+        // Claim the longest passes first, so a long one never starts last
+        // while the other workers sit idle. Ties keep submission order.
+        let rows = |dsts: &Option<Vec<Ipv4Addr>>| match dsts {
+            Some(ips) => ips
                 .iter()
-                .map(|&p| Acc::for_plan(&self.plans[p]))
-                .collect();
-            let mut rows = 0u64;
-            let visit = |accs: &mut Vec<Acc>, i: usize| {
-                for (acc, &p) in accs.iter_mut().zip(&members) {
-                    acc.update(&self.plans[p], ds, table, i);
-                }
-            };
-            match dsts {
-                Some(ips) => {
-                    for &ip in ips {
-                        let Some(idxs) = ds.dst_index(ip) else { continue };
-                        rows += idxs.len() as u64;
-                        for i in idxs.iter().map(|&i| i as usize) {
-                            visit(&mut accs, i);
-                        }
-                    }
-                }
-                None => {
-                    rows = table.len() as u64;
-                    for i in 0..table.len() {
-                        visit(&mut accs, i);
+                .filter_map(|&ip| ds.dst_index(ip))
+                .map(|idxs| idxs.len())
+                .sum(),
+            None => ds.table().len(),
+        };
+        let mut order: Vec<usize> = (0..partitions.len()).collect();
+        order.sort_by_cached_key(|&k| std::cmp::Reverse(rows(partitions[k].0)));
+        let slots: Vec<OnceLock<PlanResult>> = self.plans.iter().map(|_| OnceLock::new()).collect();
+        let pass = |k: usize| {
+            let (dsts, members) = &partitions[order[k]];
+            for (result, &p) in self.pass(dsts, members).into_iter().zip(members) {
+                let _ = slots[p].set(result);
+            }
+            true
+        };
+        par::claim_while(partitions.len(), workers, pass, || ());
+        let results = slots
+            .into_iter()
+            .map(|r| r.into_inner().expect("every pass fills its slots"))
+            .collect();
+        (results, partitions.len())
+    }
+
+    /// One fused pass: enumerate `dsts` once, feeding every row to the
+    /// accumulators of `members` (plan indices), and finish them in order.
+    fn pass(&self, dsts: &Option<Vec<Ipv4Addr>>, members: &[usize]) -> Vec<PlanResult> {
+        let ds = self.dataset;
+        let table = ds.table();
+        FUSED_PASSES.fetch_add(1, Ordering::Relaxed);
+        let mut accs: Vec<Acc> = members
+            .iter()
+            .map(|&p| Acc::for_plan(&self.plans[p]))
+            .collect();
+        let mut rows = 0u64;
+        let mut visit = |i: usize| {
+            for (acc, &p) in accs.iter_mut().zip(members) {
+                acc.update(&self.plans[p], ds, table, i);
+            }
+        };
+        match dsts {
+            Some(ips) => {
+                for &ip in ips {
+                    let Some(idxs) = ds.dst_index(ip) else { continue };
+                    rows += idxs.len() as u64;
+                    for &i in idxs {
+                        visit(i as usize);
                     }
                 }
             }
-            SCANNED_ROWS.fetch_add(rows, Ordering::Relaxed);
-            for (acc, &p) in accs.into_iter().zip(&members) {
-                results[p] = Some(acc.finish(ds));
+            None => {
+                rows = table.len() as u64;
+                (0..table.len()).for_each(visit);
             }
         }
-        results
-            .into_iter()
-            .map(|r| r.expect("every partition finishes its members"))
-            .collect()
+        SCANNED_ROWS.fetch_add(rows, Ordering::Relaxed);
+        accs.into_iter().map(|acc| acc.finish(ds)).collect()
     }
 }
 
@@ -1049,24 +1160,15 @@ impl PlanStore {
     /// [`PlanSet`], and memoize the results. Fails on the first invalid
     /// plan without scanning anything.
     pub fn build(dataset: &Dataset, plans: &[Plan]) -> Result<PlanStore, PlanError> {
+        let mut seen: HashSet<&Plan> = HashSet::new();
+        let distinct: Vec<&Plan> = plans.iter().filter(|&p| seen.insert(p)).collect();
         let mut set = PlanSet::over(dataset);
-        let mut distinct: Vec<Plan> = Vec::new();
-        for plan in plans {
-            if !distinct.contains(plan) {
-                set.submit(plan.clone())?;
-                distinct.push(plan.clone());
-            }
+        for &plan in &distinct {
+            set.submit(plan.clone())?;
         }
-        let mut domains: Vec<&Option<Vec<Ipv4Addr>>> = Vec::new();
-        for plan in &distinct {
-            if !domains.contains(&&plan.dsts) {
-                domains.push(&plan.dsts);
-            }
-        }
-        let passes = domains.len();
-        let results = set.execute();
+        let (results, passes) = set.run(par::hardware_threads());
         Ok(PlanStore {
-            results: distinct.into_iter().zip(results).collect(),
+            results: distinct.into_iter().cloned().zip(results).collect(),
             passes,
         })
     }
@@ -1187,6 +1289,39 @@ mod tests {
             cap.record(e);
         }
         Dataset::from_captures(&[&cap], &Deployment::standard())
+    }
+
+    #[test]
+    fn src_set_matches_a_btree_oracle() {
+        let mut rng = cw_netsim::SimRng::seed_from_u64(0x5EC5);
+        let mut values: Vec<u32> = (0..5_000).map(|_| rng.next_u32()).collect();
+        // Duplicates, the extremes, and addresses apart only in the first
+        // octet (their low 24 bits are all equal).
+        values.extend_from_within(..1_000);
+        values.extend([0, u32::MAX, 0, u32::MAX]);
+        values.extend((0..=255u32).map(|a| a << 24 | 0x0A_0B_0C));
+        rng.shuffle(&mut values);
+        let mut set = SrcSet::default();
+        let mut oracle = BTreeSet::new();
+        for &v in &values {
+            set.insert(v);
+            oracle.insert(v);
+            assert_eq!(set.len(), oracle.len());
+        }
+        let ips: BTreeSet<Ipv4Addr> = oracle.into_iter().map(Ipv4Addr::from).collect();
+        assert_eq!(set.into_ips(), ips);
+    }
+
+    #[test]
+    fn fold_hasher_spreads_first_octets_over_buckets_and_tags() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<FoldHasher>::default();
+        let hashes: Vec<u64> = (0..=255u32).map(|a| build.hash_one(a << 24)).collect();
+        // hashbrown indexes buckets by the low bits and tags by the top 7.
+        let buckets: BTreeSet<u64> = hashes.iter().map(|h| h & 0xFF).collect();
+        let tags: BTreeSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        assert!(buckets.len() >= 128, "{} low-byte buckets", buckets.len());
+        assert!(tags.len() >= 64, "{} top-7-bit tags", tags.len());
     }
 
     #[test]

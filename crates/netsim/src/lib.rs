@@ -33,7 +33,10 @@
 //! - [`snap`] — the little-endian binary snapshot codec plus the sealed
 //!   container format (magic, format version, payload, one SHA-256 per
 //!   1 MiB chunk, verified in parallel) that backs the simulate-once
-//!   artifact cache.
+//!   artifact cache;
+//! - [`par`] — independent jobs claimed by every core from one shared
+//!   counter (snapshot chunk hashing, fused plan passes), with results
+//!   kept in job order.
 //!
 //! Everything above this crate — protocols, honeypots, scanners, analysis —
 //! treats these primitives as "the Internet".
@@ -54,6 +57,7 @@ pub mod flow;
 pub mod geo;
 pub mod intern;
 pub mod ip;
+pub mod par;
 pub mod pcap;
 pub mod rng;
 pub mod sha256;

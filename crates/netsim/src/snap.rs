@@ -24,10 +24,11 @@
 //! ([`open`]: magic, version, length) rejects truncation and trailing
 //! bytes before any hashing. The chunk digests are then verified
 //! independently, on up to `available_parallelism()` scoped threads that
-//! claim chunks from a shared counter. Those threads are not governed by
-//! `--threads`, like the engine's shard threads. [`unseal`] does both
-//! steps; [`Sealed::verify_while`] overlaps the verification with other
-//! work on the calling thread (the snapshot loader decodes meanwhile).
+//! claim chunks from a shared counter ([`crate::par::claim_while`]). Those
+//! threads are not governed by `--threads`, like the engine's shard
+//! threads. [`unseal`] does both steps; [`Sealed::verify_while`] overlaps
+//! the verification with other work on the calling thread (the snapshot
+//! loader decodes meanwhile).
 //!
 //! Sealed bytes never depend on the number of hashing threads: each
 //! digest is a pure function of its chunk, and the digests are laid out
@@ -51,9 +52,9 @@
 //! read with [`SnapReader::get_count_of`], which rejects a count whose
 //! elements could not fit in the bytes that remain.
 
+use crate::par::{claim_while, hardware_threads};
 use crate::sha256::sha256;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 /// Leading bytes of every sealed snapshot container.
 pub const MAGIC: [u8; 8] = *b"CWSNAP\x00\x01";
@@ -288,48 +289,6 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// The worker count for chunk hashing: one per hardware thread.
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Run `job` once for every index in `0..jobs`, claimed from a shared
-/// counter by `workers` threads: the calling thread, which first runs
-/// `work`, and `workers - 1` scoped helpers. Returns `work`'s result and
-/// whether every job returned `true`; the first `false` stops all
-/// claiming, skipping the jobs not yet claimed.
-fn claim_while<R>(
-    jobs: usize,
-    workers: usize,
-    job: impl Fn(usize) -> bool + Sync,
-    work: impl FnOnce() -> R,
-) -> (R, bool) {
-    // Relaxed suffices: neither atomic publishes other data, and the
-    // scope's join orders every job's effects before `failed` is read.
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let claim = || {
-        while !failed.load(Ordering::Relaxed) {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= jobs {
-                break;
-            }
-            if !job(i) {
-                failed.store(true, Ordering::Relaxed);
-            }
-        }
-    };
-    let out = std::thread::scope(|s| {
-        for _ in 1..workers.min(jobs) {
-            s.spawn(claim);
-        }
-        let out = work();
-        claim();
-        out
-    });
-    (out, !failed.into_inner())
-}
-
 /// Wrap an encoded payload in the self-verifying container: magic,
 /// format version, length, payload, one SHA-256 per [`CHUNK`] of payload.
 /// The chunks are hashed in parallel; the bytes do not depend on how many
@@ -342,21 +301,15 @@ pub fn seal(payload: &[u8]) -> Vec<u8> {
 /// tests pin 1 worker against several).
 fn seal_on(payload: &[u8], workers: usize) -> Vec<u8> {
     let chunks: Vec<&[u8]> = payload.chunks(CHUNK).collect();
-    let digests = Mutex::new(vec![[0u8; DIGEST]; chunks.len()]);
-    let job = |i: usize| {
-        let d = sha256(chunks[i]);
-        digests.lock().expect("no hashing thread panics")[i] = d;
-        true
-    };
-    claim_while(chunks.len(), workers, job, || ());
-    let digests = digests.into_inner().expect("no hashing thread panics");
+    let digests: Vec<OnceLock<[u8; DIGEST]>> = chunks.iter().map(|_| OnceLock::new()).collect();
+    claim_while(chunks.len(), workers, |i| digests[i].set(sha256(chunks[i])).is_ok(), || ());
     let mut out = Vec::with_capacity(HEADER + payload.len() + DIGEST * digests.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    for d in &digests {
-        out.extend_from_slice(d);
+    for d in digests {
+        out.extend_from_slice(&d.into_inner().expect("every chunk is hashed"));
     }
     out
 }

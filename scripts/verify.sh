@@ -89,6 +89,20 @@ for f in "$work/t1/out"/*.txt "$work/t1/out"/*.csv; do
 done
 echo "    byte-identical across shard counts (1, 3, 8), thread counts and cache states"
 echo "    cw all timing at scale $scale: cold $(elapsed "$t0" "$t1")s, warm $(elapsed "$t2" "$t3")s"
+# One scan worker: pinned to one CPU, available_parallelism() is 1, so the
+# fused plan passes (and snapshot chunk hashing) run on the calling thread
+# alone. The bytes must match the multi-worker baseline.
+if command -v taskset >/dev/null 2>&1; then
+    mkdir -p "$work/p1/out"
+    cp -r "$work/t1/out/.cache" "$work/p1/out/.cache"
+    (cd "$work/p1" && taskset -c 0 "$cw" all --scale "$scale" 2>/dev/null)
+    for f in "$work/t1/out"/*.txt "$work/t1/out"/*.csv; do
+        cmp "$f" "$work/p1/out/${f##*/}"
+    done
+    echo "    byte-identical with one scan worker (warm, taskset -c 0)"
+else
+    echo "    taskset not found: one-scan-worker row skipped"
+fi
 
 echo "==> scan budget: cw all --trace-scans fuses the registry's plans within the pinned bound"
 # The per-bundle pass budget is pinned from a measured run (199/209/197

@@ -9,13 +9,13 @@
 //! frozen-seed world) and must not scan concurrently.
 
 use cloud_watching::core::compare::CharKind;
-use cloud_watching::core::dataset::TrafficSlice;
+use cloud_watching::core::dataset::{Dataset, TrafficSlice};
 use cloud_watching::core::exhibit::{Exhibit, ExhibitCx, ExhibitOptions, REGISTRY};
 use cloud_watching::core::query::{scan_counters, GroupKey, ObsKind, Terminal};
 use cloud_watching::core::scenario::ScenarioConfig;
 use cloud_watching::core::{
-    geography, neighborhood, overlap, ports, Plan, PlanError, PlanSet, PlanStore, ScanExec,
-    SimBundle,
+    geography, neighborhood, overlap, ports, Plan, PlanError, PlanResult, PlanSet, PlanStore,
+    ScanExec, SimBundle,
 };
 use cloud_watching::honeypot::deployment::{CollectorKind, Deployment, NetworkKind};
 use cloud_watching::protocols::iana::POPULAR_PORTS;
@@ -61,33 +61,132 @@ fn edu_ips(d: &Deployment) -> Vec<Ipv4Addr> {
         .collect()
 }
 
-/// A structurally diverse plan pool: every terminal, both group keys,
-/// overlapping and distinct destination domains, stacked predicates.
-fn plan_pool() -> Vec<Plan> {
+/// A pool plan's `Query`-builder twin. The builder's B-tree terminals are
+/// a separate implementation of every plan aggregate, so comparing the two
+/// catches a bug in the fused kernel that a fused-vs-standalone comparison
+/// (the same kernel on both sides) would miss. Arguments: the dataset, the
+/// GreyNoise vantages, the education vantages.
+type Twin = fn(&Dataset, &[Ipv4Addr], &[Ipv4Addr]) -> PlanResult;
+
+fn twin(plan: Plan, twin: Twin) -> (Plan, Twin) {
+    (plan, twin)
+}
+
+/// A structurally diverse plan pool, each plan beside its twin: every
+/// terminal, both group keys, overlapping and distinct destination
+/// domains, stacked predicates, and whole-table distinct-source scans.
+fn pool_with_twins() -> Vec<(Plan, Twin)> {
+    use PlanResult as R;
     let d = Deployment::standard();
-    let g = greynoise_ips(&d);
-    let e = edu_ips(&d);
+    let g = &greynoise_ips(&d);
+    let e = &edu_ips(&d);
+    let (telnet, ssh) = (TrafficSlice::TelnetPort23, TrafficSlice::SshPort22);
     vec![
-        Plan::scan().count(),
-        Plan::scan().kind(ObsKind::Syn).count(),
-        Plan::at(&g).count(),
-        Plan::at(&g).malicious().count(),
-        Plan::at(&g).port(23).distinct_srcs(),
-        Plan::at(&g).port_in(&[22, 23, 80]).rows(),
-        Plan::at(&g).unique_src_and_asn(),
-        Plan::at(&g).grouped_by_port(&POPULAR_PORTS).distinct_srcs(),
-        Plan::at(&g)
-            .malicious()
-            .grouped_by_port(&[80, 8080])
-            .distinct_srcs(),
-        Plan::at(&g)
-            .slice(TrafficSlice::TelnetPort23)
-            .char_freqs(CharKind::TopPassword),
-        Plan::at(&e).slice(TrafficSlice::SshPort22).char_freqs(CharKind::TopAs),
-        Plan::at(&e).fingerprinted().count(),
-        Plan::at(&e).port(80).grouped_by_fingerprint().distinct_srcs(),
-        Plan::at(&e).not_kind(ObsKind::Syn).classified(),
+        twin(Plan::scan().count(), |ds, _, _| {
+            R::Count(ds.query().count())
+        }),
+        twin(Plan::scan().kind(ObsKind::Syn).count(), |ds, _, _| {
+            R::Count(ds.query().kind(ObsKind::Syn).count())
+        }),
+        twin(Plan::at(g).count(), |ds, g, _| {
+            R::Count(ds.query().at(g).count())
+        }),
+        twin(Plan::at(g).malicious().count(), |ds, g, _| {
+            R::Count(ds.query().at(g).malicious().count())
+        }),
+        twin(Plan::at(g).port(23).distinct_srcs(), |ds, g, _| {
+            R::DistinctSrcs(ds.query().at(g).port(23).distinct_srcs())
+        }),
+        twin(Plan::at(g).port_in(&[22, 23, 80]).rows(), |ds, g, _| {
+            R::Rows(ds.query().at(g).port_in(&[22, 23, 80]).indices())
+        }),
+        twin(Plan::at(g).unique_src_and_asn(), |ds, g, _| {
+            let (srcs, asns) = ds.query().at(g).unique_src_and_asn();
+            R::UniqueSrcAndAsn(srcs, asns)
+        }),
+        twin(
+            Plan::at(g).grouped_by_port(&POPULAR_PORTS).distinct_srcs(),
+            |ds, g, _| {
+                R::PortSrcs(
+                    ds.query()
+                        .at(g)
+                        .group_by_port()
+                        .keys(&POPULAR_PORTS)
+                        .distinct_srcs(),
+                )
+            },
+        ),
+        twin(
+            Plan::at(g)
+                .malicious()
+                .grouped_by_port(&[80, 8080])
+                .distinct_srcs(),
+            |ds, g, _| {
+                R::PortSrcs(
+                    ds.query()
+                        .at(g)
+                        .malicious()
+                        .group_by_port()
+                        .keys(&[80, 8080])
+                        .distinct_srcs(),
+                )
+            },
+        ),
+        twin(
+            Plan::at(g).slice(telnet).char_freqs(CharKind::TopPassword),
+            |ds, g, _| {
+                let q = ds.query().at(g).slice(TrafficSlice::TelnetPort23);
+                R::CharFreqs(q.char_freqs(CharKind::TopPassword))
+            },
+        ),
+        twin(
+            Plan::at(e).slice(ssh).char_freqs(CharKind::TopAs),
+            |ds, _, e| {
+                let q = ds.query().at(e).slice(TrafficSlice::SshPort22);
+                R::CharFreqs(q.char_freqs(CharKind::TopAs))
+            },
+        ),
+        twin(Plan::at(e).fingerprinted().count(), |ds, _, e| {
+            R::Count(ds.query().at(e).fingerprinted().count())
+        }),
+        twin(
+            Plan::at(e)
+                .port(80)
+                .grouped_by_fingerprint()
+                .distinct_srcs(),
+            |ds, _, e| {
+                R::FingerprintSrcs(
+                    ds.query()
+                        .at(e)
+                        .port(80)
+                        .group_by_fingerprint()
+                        .distinct_srcs(),
+                )
+            },
+        ),
+        twin(
+            Plan::at(e).not_kind(ObsKind::Syn).classified(),
+            |ds, _, e| R::Rows(ds.query().at(e).not_kind(ObsKind::Syn).indices()),
+        ),
+        twin(Plan::scan().unique_src_and_asn(), |ds, _, _| {
+            let (srcs, asns) = ds.query().unique_src_and_asn();
+            R::UniqueSrcAndAsn(srcs, asns)
+        }),
+        twin(Plan::scan().malicious().distinct_srcs(), |ds, _, _| {
+            R::DistinctSrcs(ds.query().malicious().distinct_srcs())
+        }),
+        twin(
+            Plan::scan().grouped_by_fingerprint().distinct_srcs(),
+            |ds, _, _| R::FingerprintSrcs(ds.query().group_by_fingerprint().distinct_srcs()),
+        ),
     ]
+}
+
+fn plan_pool() -> Vec<Plan> {
+    pool_with_twins()
+        .into_iter()
+        .map(|(plan, _)| plan)
+        .collect()
 }
 
 proptest! {
@@ -98,7 +197,7 @@ proptest! {
     /// in submission order, while costing no more passes than plans.
     #[test]
     fn fused_plan_sets_match_standalone_execution(
-        picks in proptest::collection::vec(0usize..14, 1..12),
+        picks in proptest::collection::vec(0usize..17, 1..12),
     ) {
         let _g = counter_lock();
         let s = bundle();
@@ -141,6 +240,48 @@ fn submission_order_permutes_results_and_nothing_else() {
     assert_eq!(forward.len(), reversed.len());
     for (i, r) in reversed.iter().rev().enumerate() {
         assert_eq!(&forward[i], r, "plan {i} changed under reversed submission");
+    }
+}
+
+/// Every pool plan, fused into one set, against its `Query`-builder twin.
+#[test]
+fn every_plan_result_matches_its_query_builder_twin() {
+    let _g = counter_lock();
+    let s = bundle();
+    let d = Deployment::standard();
+    let (g, e) = (greynoise_ips(&d), edu_ips(&d));
+    let pool = pool_with_twins();
+    let mut set = PlanSet::over(&s.dataset);
+    for (plan, _) in &pool {
+        set.submit(plan.clone()).unwrap();
+    }
+    let results = set.execute();
+    assert_eq!(results.len(), pool.len());
+    for (k, (result, (_, twin))) in results.iter().zip(&pool).enumerate() {
+        assert_eq!(result, &twin(&s.dataset, &g, &e), "pool plan {k}");
+    }
+}
+
+/// The passes of one set run on every core; the results, their order and
+/// the scan counters must not depend on how many workers claimed them.
+#[test]
+fn results_do_not_depend_on_the_worker_count() {
+    let _g = counter_lock();
+    let s = bundle();
+    let run = |workers: usize| {
+        let mut set = PlanSet::over(&s.dataset);
+        for plan in plan_pool() {
+            set.submit(plan).unwrap();
+        }
+        let before = scan_counters();
+        let results = set.execute_on(workers);
+        (results, scan_counters().since(before))
+    };
+    let (one, one_counters) = run(1);
+    for workers in [2, 4] {
+        let (many, counters) = run(workers);
+        assert_eq!(many, one, "{workers} workers");
+        assert_eq!(counters, one_counters, "{workers} workers");
     }
 }
 
@@ -199,8 +340,14 @@ fn ported_products_match_unplanned_execution() {
     );
     for port in [80u16, 8080] {
         assert_eq!(
-            format!("{:?}", ports::protocol_breakdown_with(&fused, &d, &s.reputation, port)),
-            format!("{:?}", ports::protocol_breakdown_with(&alone, &d, &s.reputation, port)),
+            format!(
+                "{:?}",
+                ports::protocol_breakdown_with(&fused, &d, &s.reputation, port)
+            ),
+            format!(
+                "{:?}",
+                ports::protocol_breakdown_with(&alone, &d, &s.reputation, port)
+            ),
             "breakdown port {port}"
         );
     }
@@ -223,11 +370,14 @@ fn prefetched_registry_renders_are_byte_identical() {
         .iter()
         .copied()
         .filter(|e| {
-            !e.needs().is_empty()
-                && e.needs().iter().all(|n| n.resolve(&opts).year() == 2021)
+            !e.needs().is_empty() && e.needs().iter().all(|n| n.resolve(&opts).year() == 2021)
         })
         .collect();
-    assert!(singles.len() >= 15, "expected most of the registry, got {}", singles.len());
+    assert!(
+        singles.len() >= 15,
+        "expected most of the registry, got {}",
+        singles.len()
+    );
 
     let c0 = scan_counters();
     let plain_cx = ExhibitCx::new(opts, worlds);
@@ -238,7 +388,10 @@ fn prefetched_registry_renders_are_byte_identical() {
     let mut cx = ExhibitCx::new(opts, worlds);
     let stats = cx.prefetch(&singles);
     assert_eq!(stats.len(), 1, "one bundle, one prefetched store");
-    assert!(stats[0].passes < stats[0].plans, "prefetch must fuse: {stats:?}");
+    assert!(
+        stats[0].passes < stats[0].plans,
+        "prefetch must fuse: {stats:?}"
+    );
     let rendered: Vec<String> = singles.iter().map(|e| e.run(&cx)).collect();
     let fused = scan_counters().since(c1);
 
@@ -264,25 +417,44 @@ fn grouped_plans_reject_unsupported_terminals_with_typed_errors() {
         Plan::at(&ips).grouped_by_port(&[22]).count(),
         Plan::at(&ips).grouped_by_port(&[22]).rows(),
         Plan::at(&ips).grouped_by_port(&[22]).unique_src_and_asn(),
-        Plan::at(&ips).grouped_by_fingerprint().char_freqs(CharKind::TopAs),
+        Plan::at(&ips)
+            .grouped_by_fingerprint()
+            .char_freqs(CharKind::TopAs),
         Plan::at(&ips).grouped_by_fingerprint().classified(),
     ];
     for plan in &bad {
         let err = plan.validate().unwrap_err();
-        let PlanError::Unsupported { ref group, terminal } = err;
+        let PlanError::Unsupported {
+            ref group,
+            terminal,
+        } = err;
         assert!(!matches!(group, GroupKey::None));
         assert!(!matches!(terminal, Terminal::DistinctSrcs));
         assert!(err.to_string().contains("unsupported plan"), "{err}");
         // All three execution doors reject identically.
-        assert_eq!(PlanSet::over(&s.dataset).submit(plan.clone()).unwrap_err(), err);
+        assert_eq!(
+            PlanSet::over(&s.dataset).submit(plan.clone()).unwrap_err(),
+            err
+        );
         assert_eq!(
             PlanStore::build(&s.dataset, std::slice::from_ref(plan)).unwrap_err(),
             err
         );
     }
     // The supported grouped shape and all ungrouped terminals validate.
-    Plan::at(&ips).grouped_by_port(&[22]).distinct_srcs().validate().unwrap();
-    Plan::at(&ips).grouped_by_fingerprint().distinct_srcs().validate().unwrap();
-    Plan::at(&ips).char_freqs(CharKind::TopAs).validate().unwrap();
+    Plan::at(&ips)
+        .grouped_by_port(&[22])
+        .distinct_srcs()
+        .validate()
+        .unwrap();
+    Plan::at(&ips)
+        .grouped_by_fingerprint()
+        .distinct_srcs()
+        .validate()
+        .unwrap();
+    Plan::at(&ips)
+        .char_freqs(CharKind::TopAs)
+        .validate()
+        .unwrap();
     Plan::scan().count().validate().unwrap();
 }
